@@ -28,7 +28,7 @@
 
 use std::path::PathBuf;
 
-use pmem_spec::{Bucket, ProfileReport, System};
+use pmem_spec::{Bucket, ProfileReport, Profiler, System, TraceRecorder};
 use pmemspec_bench::{default_fases, seeds, suite_cores, sweep, BenchArgs, Json};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
@@ -201,9 +201,11 @@ fn write_traces(dir: &PathBuf, cores: usize, seed: u64) {
     let cfg = SimConfig::asplos21(cores);
     for design in DesignKind::ALL_EXTENDED {
         let program = sweep::lowered_program(benchmark, design, cores, fases, seed);
-        let (_, mut tracer, profile) = System::new(cfg.clone(), program)
-            .expect("valid experiment")
-            .run_traced_profiled();
+        let system = System::new(cfg.clone(), program).expect("valid experiment");
+        let mut probe = (Profiler::new(&system), TraceRecorder::new(cores));
+        system.run_with(&mut probe);
+        let (profiler, mut tracer) = probe;
+        let profile = profiler.report();
         profile.add_counter_tracks(&mut tracer);
         let path = dir.join(format!(
             "trace_{}.json",
@@ -233,7 +235,11 @@ fn main() {
     let points: Vec<Point> = sweep::parallel_map(spec.len(), workers, |i| {
         let (design, benchmark) = spec[i];
         let fases = default_fases(benchmark);
-        let (_, profile) = sweep::run_point_profiled(benchmark, design, &cfg, fases, seed);
+        let (_, profiler) =
+            sweep::run_point_with(benchmark, design, &cfg, fases, seed, |sys, _| {
+                Profiler::new(sys)
+            });
+        let profile = profiler.report();
         Point {
             design,
             benchmark,

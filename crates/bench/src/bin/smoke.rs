@@ -23,8 +23,8 @@
 
 use std::process::ExitCode;
 
-use pmem_spec::Bucket;
-use pmemspec_bench::sweep::{parallel_map, run_point_profiled, worker_count};
+use pmem_spec::{Bucket, Profiler};
+use pmemspec_bench::sweep::{parallel_map, run_point_with, worker_count};
 use pmemspec_bench::{geomeans, print_suite, suite_rows, suite_spec, BenchArgs, Json, SEEDS};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
@@ -49,7 +49,10 @@ fn bucket_fractions(args: &BenchArgs, seed: u64) -> Vec<(DesignKind, [f64; Bucke
         .collect();
     let profiles = parallel_map(points.len(), worker_count(args), |i| {
         let (design, benchmark) = points[i];
-        let (_, profile) = run_point_profiled(benchmark, design, &cfg, FASES, seed);
+        let (_, profiler) = run_point_with(benchmark, design, &cfg, FASES, seed, |sys, _| {
+            Profiler::new(sys)
+        });
+        let profile = profiler.report();
         let totals: Vec<u64> = Bucket::ALL
             .iter()
             .map(|&b| profile.bucket_total(b))

@@ -29,7 +29,7 @@
 
 use std::path::PathBuf;
 
-use pmem_spec::{Bucket, FaseSpan, SpanReport, System};
+use pmem_spec::{Bucket, FaseSpan, SpanReport, SpanTracer, System, TraceRecorder};
 use pmemspec_bench::{default_fases, seeds, suite_cores, sweep, BenchArgs, Json};
 use pmemspec_engine::stats::Histogram;
 use pmemspec_engine::SimConfig;
@@ -302,9 +302,11 @@ fn write_traces(dir: &PathBuf, cores: usize, seed: u64) {
     for design in DesignKind::ALL_EXTENDED {
         let (program, meta) =
             sweep::lowered_program_with_meta(benchmark, design, cores, fases, seed);
-        let (_, mut tracer, profile, spans) = System::new(cfg.clone(), program)
-            .expect("valid experiment")
-            .run_spans_traced(&meta);
+        let system = System::new(cfg.clone(), program).expect("valid experiment");
+        let mut probe = (SpanTracer::new(&system, &meta), TraceRecorder::new(cores));
+        system.run_with(&mut probe);
+        let (span_tracer, mut tracer) = probe;
+        let (profile, spans) = span_tracer.report();
         profile.add_counter_tracks(&mut tracer);
         spans.add_fase_tracks(&mut tracer);
         let path = dir.join(format!(
@@ -335,7 +337,9 @@ fn main() {
     let points: Vec<Point> = sweep::parallel_map(spec.len(), workers, |i| {
         let (design, benchmark) = spec[i];
         let fases = default_fases(benchmark);
-        let (_, _, spans) = sweep::run_point_spans(benchmark, design, &cfg, fases, seed);
+        let (_, span_tracer) =
+            sweep::run_point_with(benchmark, design, &cfg, fases, seed, SpanTracer::new);
+        let (_, spans) = span_tracer.report();
         Point {
             design,
             benchmark,

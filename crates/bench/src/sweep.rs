@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pmem_spec::{run_program, ProfileReport, RunReport, SpanReport, System};
+use pmem_spec::{run_program, Probe, RunReport, System};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::abs::AbsProgram;
 use pmemspec_isa::{lower_program, lower_program_with_meta, DesignKind, Program, ProgramMeta};
@@ -312,38 +312,23 @@ pub fn run_point(
     (report, note)
 }
 
-/// Like [`run_point`], but with cycle accounting and occupancy
-/// sampling enabled, returning the profile alongside the report.
-/// Profiling observes only, so the report matches [`run_point`]'s
-/// byte-for-byte.
-pub fn run_point_profiled(
+/// Like [`run_point`], but under the probe `probe` builds for the
+/// point's system and lowering metadata (a [`pmem_spec::Profiler`],
+/// a [`pmem_spec::SpanTracer`], ...), returned after the run. Probes
+/// observe only, so the report matches [`run_point`]'s byte-for-byte.
+pub fn run_point_with<P: Probe>(
     benchmark: Benchmark,
     design: DesignKind,
     cfg: &SimConfig,
     fases: usize,
     seed: u64,
-) -> (RunReport, ProfileReport) {
-    let program = lowered_program(benchmark, design, cfg.cores, fases, seed);
-    System::new(cfg.clone(), program)
-        .expect("valid experiment")
-        .run_profiled()
-}
-
-/// Like [`run_point_profiled`], but also traces per-FASE spans,
-/// returning the span report alongside the aggregate profile. Span
-/// tracing observes only, so the report still matches [`run_point`]'s
-/// byte-for-byte.
-pub fn run_point_spans(
-    benchmark: Benchmark,
-    design: DesignKind,
-    cfg: &SimConfig,
-    fases: usize,
-    seed: u64,
-) -> (RunReport, ProfileReport, SpanReport) {
+    probe: impl FnOnce(&System, &ProgramMeta) -> P,
+) -> (RunReport, P) {
     let (program, meta) = lowered_program_with_meta(benchmark, design, cfg.cores, fases, seed);
-    System::new(cfg.clone(), program)
-        .expect("valid experiment")
-        .run_spans(&meta)
+    let system = System::new(cfg.clone(), program).expect("valid experiment");
+    let mut probe = probe(&system, &meta);
+    let (report, _) = system.run_with(&mut probe);
+    (report, probe)
 }
 
 // ---------------------------------------------------------------------

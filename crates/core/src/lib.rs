@@ -21,6 +21,8 @@
 //!   including misspeculation detection, virtual-power-failure recovery
 //!   (lazy/eager, with §6.3 checkpoint scoping), power-failure simulation
 //!   (`run_until`), and the §7 multi-controller extension;
+//! * [`probe`] — the run loop's observer interface ([`Probe`]), which
+//!   the tracer, profiler, span tracer, and crash-boundary log implement;
 //! * [`trace`] — Chrome/Perfetto trace export of simulated timelines;
 //! * [`profile`] — cycle accounting (every core cycle attributed to one
 //!   cause bucket) and queue-occupancy time series;
@@ -58,6 +60,7 @@
 
 pub mod bloom;
 pub mod persist_buffer;
+pub mod probe;
 pub mod profile;
 pub mod report;
 pub mod span;
@@ -66,9 +69,10 @@ pub mod strand_buffer;
 pub mod system;
 pub mod trace;
 
-pub use profile::{Bucket, CoreBreakdown, ProfileReport};
+pub use probe::{BoundaryLog, PmcEvent, Probe, Step};
+pub use profile::{Bucket, CoreBreakdown, ProfileReport, Profiler};
 pub use report::RunReport;
-pub use span::{FaseSpan, SpanPhase, SpanReport};
+pub use span::{FaseSpan, SpanPhase, SpanReport, SpanTracer};
 pub use spec_buffer::{Detection, DetectionMode, SpecBuffer};
 pub use system::{run_program, BuildSystemError, CrashOutcome, RecoveryPolicy, System};
 pub use trace::TraceRecorder;

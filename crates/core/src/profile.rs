@@ -7,7 +7,7 @@
 //! points (instruction issue, queue admission, fence drains, lock
 //! grants, abort recovery, global speculation pauses). The profiler
 //! keeps a per-core *accounted-up-to* high-water mark; each advance
-//! point calls [`Profiler::to`] with a [`Bucket`] and the new time, and
+//! point charges the [`Profiler`] a [`Bucket`] up to the new time, and
 //! the interval since the mark is charged to that bucket. Because every
 //! charge moves the mark forward, intervals can neither overlap nor be
 //! double-counted, and the invariant
@@ -29,11 +29,13 @@
 //! join, then up to the drain — the bucket that ends the wait gets the
 //! tail. See DESIGN.md for the full rule table.
 //!
-//! Profiling is opt-in ([`crate::System::with_profiling`] /
-//! [`crate::System::run_profiled`]) and **observes only**: it never
-//! feeds a timestamp back into the simulation, so a profiled run
-//! produces a byte-identical [`crate::RunReport`] (a differential test
-//! enforces this).
+//! The [`Profiler`] is a [`Probe`]: the run loop's `charge` hook does
+//! the accounting, and its `sample` hook feeds the occupancy series.
+//! Run it with [`crate::System::run_profiled`], or compose it with
+//! other probes through [`crate::System::run_with`]. Like every probe
+//! it **observes only**: it never feeds a timestamp back into the
+//! simulation, so a profiled run produces a byte-identical
+//! [`crate::RunReport`] (a differential test enforces this).
 
 use std::fmt;
 
@@ -41,6 +43,8 @@ use pmemspec_engine::clock::{Cycle, Duration};
 use pmemspec_engine::stats::TimeSeries;
 use pmemspec_isa::DesignKind;
 
+use crate::probe::Probe;
+use crate::system::System;
 use crate::trace::TraceRecorder;
 
 /// Occupancy sampling cadence, in simulated cycles. Series are bounded
@@ -166,25 +170,39 @@ struct CoreAccount {
     accounted: Cycle,
 }
 
-/// The live accounting state carried by a profiled [`crate::System`].
+/// The cycle-accounting probe.
 ///
-/// Holds the per-core bucket counters and the occupancy series; the
-/// system calls [`Profiler::to`] at every time-advance point and feeds
-/// occupancy snapshots through [`Profiler::record_samples`]. Consumed
-/// by [`Profiler::finish`] into a [`ProfileReport`].
+/// Holds the per-core bucket counters and the occupancy series; the run
+/// loop charges it at every time-advance point and offers it an
+/// occupancy sample every step. [`Profiler::report`] turns it into a
+/// [`ProfileReport`] once the run has ended.
 #[derive(Debug, Clone)]
 pub struct Profiler {
+    design: DesignKind,
     cores: Vec<CoreAccount>,
     series: Vec<(String, TimeSeries)>,
     next_sample: Cycle,
+    /// Each core's final clock and the LLC's dirty PM lines, recorded
+    /// when the run ends.
+    end: Option<(Vec<Cycle>, usize)>,
 }
 
 impl Profiler {
+    /// A profiler for `sys`'s cores and queues.
+    pub fn new(sys: &System) -> Self {
+        let program = sys.program();
+        Self::with_series(
+            program.design(),
+            program.thread_count(),
+            sys.occupancy_series(),
+        )
+    }
+
     /// A profiler for `cores` cores sampling the named occupancy
-    /// series (snapshots passed to [`Profiler::record_samples`] must
-    /// use the same order).
-    pub(crate) fn new(cores: usize, series_names: Vec<String>) -> Self {
+    /// series (in [`System::occupancy_series`] order).
+    pub(crate) fn with_series(design: DesignKind, cores: usize, series_names: Vec<String>) -> Self {
         Profiler {
+            design,
             cores: vec![
                 CoreAccount {
                     buckets: [0; Bucket::COUNT],
@@ -197,54 +215,45 @@ impl Profiler {
                 .map(|n| (n, TimeSeries::new(SERIES_POINTS)))
                 .collect(),
             next_sample: Cycle::ZERO,
-        }
-    }
-
-    /// Charges core `idx`'s cycles from its accounted mark up to
-    /// `until` to `bucket`, advancing the mark. A no-op when `until`
-    /// is not past the mark — callers charge candidate causes in
-    /// binding order and the ones that don't bind charge nothing.
-    pub(crate) fn to(&mut self, idx: usize, bucket: Bucket, until: Cycle) {
-        let core = &mut self.cores[idx];
-        if until > core.accounted {
-            core.buckets[bucket.index()] += (until - core.accounted).raw();
-            core.accounted = until;
+            end: None,
         }
     }
 
     /// A snapshot of core `idx`'s bucket counters. The span tracer
-    /// diffs snapshots taken at FASE begin/commit: because the
-    /// instrumented loop keeps `accounted == core.time` at every step
-    /// boundary, the diff is an exact, conservation-checked waterfall
-    /// of the span's wall-cycles.
+    /// diffs snapshots taken at FASE begin/commit: because the run
+    /// loop keeps `accounted == core.time` at every step boundary, the
+    /// diff is an exact, conservation-checked waterfall of the span's
+    /// wall-cycles.
     pub(crate) fn core_buckets(&self, idx: usize) -> [u64; Bucket::COUNT] {
         self.cores[idx].buckets
     }
 
-    /// The next due sample instant, if one is due by `now`.
-    pub(crate) fn next_sample_due(&mut self, now: Cycle) -> Option<Cycle> {
-        (self.next_sample <= now).then(|| {
-            let at = self.next_sample;
-            self.next_sample = at + SAMPLE_INTERVAL;
-            at
-        })
-    }
-
     /// Records one snapshot (values in construction order) at `at`.
-    pub(crate) fn record_samples(&mut self, at: Cycle, values: &[u64]) {
+    fn record_samples(&mut self, at: Cycle, values: &[u64]) {
         debug_assert_eq!(values.len(), self.series.len());
         for ((_, series), &v) in self.series.iter_mut().zip(values) {
             series.record(at.raw(), v);
         }
     }
 
+    /// The profile of the finished run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run this profiler observed has not ended.
+    pub fn report(mut self) -> ProfileReport {
+        let (final_times, llc_dirty_pm_lines) =
+            self.end.take().expect("the profiled run has not ended");
+        let total_time = final_times.iter().copied().max().unwrap_or(Cycle::ZERO);
+        self.close(&final_times, total_time, llc_dirty_pm_lines)
+    }
+
     /// Closes the books: charges each core's unaccounted tail to
     /// [`Bucket::Unattributed`], the gap between its final time and the
     /// machine-wide end to [`Bucket::Idle`], and tallies charges past
     /// the final time as over-attribution.
-    pub(crate) fn finish(
+    fn close(
         self,
-        design: DesignKind,
         final_times: &[Cycle],
         total_time: Cycle,
         llc_dirty_pm_lines: usize,
@@ -269,13 +278,42 @@ impl Profiler {
             })
             .collect();
         ProfileReport {
-            design,
+            design: self.design,
             total_time,
             cores,
             over_attributed,
             llc_dirty_pm_lines,
             series: self.series,
         }
+    }
+}
+
+impl Probe for Profiler {
+    /// Charges core `core`'s cycles from its accounted mark up to
+    /// `until` to `bucket`, advancing the mark. A no-op when `until`
+    /// is not past the mark — callers charge candidate causes in
+    /// binding order and the ones that don't bind charge nothing.
+    fn charge(&mut self, core: usize, bucket: Bucket, until: Cycle) {
+        let core = &mut self.cores[core];
+        if until > core.accounted {
+            core.buckets[bucket.index()] += (until - core.accounted).raw();
+            core.accounted = until;
+        }
+    }
+
+    /// Records every sample due by `now` (fixed cadence, with catch-up
+    /// over large time jumps).
+    fn sample(&mut self, now: Cycle, sys: &System) {
+        while self.next_sample <= now {
+            let at = self.next_sample;
+            self.next_sample = at + SAMPLE_INTERVAL;
+            let values = sys.occupancy_snapshot(at);
+            self.record_samples(at, &values);
+        }
+    }
+
+    fn finish(&mut self, sys: &System) {
+        self.end = Some((sys.core_times(), sys.llc_dirty_pm_lines()));
     }
 }
 
@@ -447,19 +485,16 @@ impl fmt::Display for ProfileReport {
 mod tests {
     use super::*;
 
+    const DESIGN: DesignKind = DesignKind::PmemSpec;
+
     #[test]
     fn charges_advance_the_mark_without_overlap() {
-        let mut p = Profiler::new(1, vec![]);
-        p.to(0, Bucket::Compute, Cycle::from_raw(10));
-        p.to(0, Bucket::FenceDrain, Cycle::from_raw(25));
+        let mut p = Profiler::with_series(DESIGN, 1, vec![]);
+        p.charge(0, Bucket::Compute, Cycle::from_raw(10));
+        p.charge(0, Bucket::FenceDrain, Cycle::from_raw(25));
         // Not past the mark: charges nothing.
-        p.to(0, Bucket::L1Hit, Cycle::from_raw(20));
-        let r = p.finish(
-            DesignKind::PmemSpec,
-            &[Cycle::from_raw(25)],
-            Cycle::from_raw(30),
-            0,
-        );
+        p.charge(0, Bucket::L1Hit, Cycle::from_raw(20));
+        let r = p.close(&[Cycle::from_raw(25)], Cycle::from_raw(30), 0);
         assert_eq!(r.cores[0].get(Bucket::Compute), 10);
         assert_eq!(r.cores[0].get(Bucket::FenceDrain), 15);
         assert_eq!(r.cores[0].get(Bucket::L1Hit), 0);
@@ -471,13 +506,12 @@ mod tests {
 
     #[test]
     fn residuals_and_overshoot_are_flagged() {
-        let mut p = Profiler::new(2, vec![]);
-        p.to(0, Bucket::Compute, Cycle::from_raw(4));
-        p.to(1, Bucket::Compute, Cycle::from_raw(12));
+        let mut p = Profiler::with_series(DESIGN, 2, vec![]);
+        p.charge(0, Bucket::Compute, Cycle::from_raw(4));
+        p.charge(1, Bucket::Compute, Cycle::from_raw(12));
         // Core 0 really ran to 10: 6 cycles were missed.
         // Core 1 really ran to 10: 2 cycles were over-charged.
-        let r = p.finish(
-            DesignKind::Hops,
+        let r = p.close(
             &[Cycle::from_raw(10), Cycle::from_raw(10)],
             Cycle::from_raw(10),
             0,
@@ -488,13 +522,8 @@ mod tests {
 
     #[test]
     fn json_names_every_bucket() {
-        let p = Profiler::new(1, vec!["core0.sq".into()]);
-        let r = p.finish(
-            DesignKind::IntelX86,
-            &[Cycle::from_raw(8)],
-            Cycle::from_raw(8),
-            3,
-        );
+        let p = Profiler::with_series(DESIGN, 1, vec!["core0.sq".into()]);
+        let r = p.close(&[Cycle::from_raw(8)], Cycle::from_raw(8), 3);
         let json = r.to_json();
         for b in Bucket::ALL {
             assert!(json.contains(&format!("\"{}\"", b.label())), "{json}");
@@ -505,14 +534,9 @@ mod tests {
 
     #[test]
     fn counter_tracks_merge_into_a_trace() {
-        let mut p = Profiler::new(1, vec!["pmc0.wq".into()]);
+        let mut p = Profiler::with_series(DESIGN, 1, vec!["pmc0.wq".into()]);
         p.record_samples(Cycle::from_raw(0), &[2]);
-        let r = p.finish(
-            DesignKind::Dpo,
-            &[Cycle::from_raw(1)],
-            Cycle::from_raw(1),
-            0,
-        );
+        let r = p.close(&[Cycle::from_raw(1)], Cycle::from_raw(1), 0);
         let mut tr = TraceRecorder::new(1);
         r.add_counter_tracks(&mut tr);
         assert!(tr
@@ -522,14 +546,9 @@ mod tests {
 
     #[test]
     fn display_skips_empty_buckets() {
-        let mut p = Profiler::new(1, vec![]);
-        p.to(0, Bucket::PmRead, Cycle::from_raw(100));
-        let r = p.finish(
-            DesignKind::StrandWeaver,
-            &[Cycle::from_raw(100)],
-            Cycle::from_raw(100),
-            0,
-        );
+        let mut p = Profiler::with_series(DESIGN, 1, vec![]);
+        p.charge(0, Bucket::PmRead, Cycle::from_raw(100));
+        let r = p.close(&[Cycle::from_raw(100)], Cycle::from_raw(100), 0);
         let text = r.to_string();
         assert!(text.contains("pm_read"));
         assert!(!text.contains("lock_wait"));

@@ -20,26 +20,31 @@
 //!   lowering metadata ([`pmemspec_isa::OpRole`]) of each op the core
 //!   steps through. These drive the nested Perfetto slices.
 //! * **Bucket waterfall** — the span's cycles attributed to the
-//!   profiler's 15 cause [`Bucket`]s, obtained by diffing the profiler's
-//!   per-core bucket counters at span open and close. The instrumented
-//!   run loop keeps the profiler's accounted mark equal to the core's
-//!   clock at every step boundary, so the diff sums *exactly* to the
-//!   span's wall-cycles — every span is a conservation-checked
-//!   waterfall, and summing spans reconciles with the aggregate
-//!   [`crate::ProfileReport`] (tests pin both).
+//!   profiler's 15 cause [`Bucket`]s, obtained by diffing the per-core
+//!   bucket counters of the [`Profiler`] the tracer owns at span open
+//!   and close. The run loop keeps the profiler's accounted mark equal
+//!   to the core's clock at every step boundary, so the diff sums
+//!   *exactly* to the span's wall-cycles — every span is a
+//!   conservation-checked waterfall, and summing spans reconciles with
+//!   the aggregate [`crate::ProfileReport`] (tests pin both).
 //!
-//! Like the profiler, span tracing **observes only**: spans carry
-//! timestamps alongside the timing state and never feed back into it, so
-//! a span-traced run produces a byte-identical [`crate::RunReport`] and
-//! persistent image (a differential test enforces this).
+//! The [`SpanTracer`] is a [`Probe`]: the `step` and `fase_abort` hooks
+//! drive the span state machine, and the profiling hooks go to its
+//! profiler. Run it with [`crate::System::run_with`]. Like every probe,
+//! span tracing **observes only**: spans carry timestamps alongside the
+//! timing state and never feed back into it, so a span-traced run
+//! produces a byte-identical [`crate::RunReport`] and persistent image
+//! (a differential test enforces this).
 
 use std::fmt;
 
 use pmemspec_engine::clock::{Cycle, Duration};
 use pmemspec_engine::stats::Histogram;
-use pmemspec_isa::{DesignKind, FaseId, OpRole, ProgramMeta};
+use pmemspec_isa::{DesignKind, FaseId, Op, OpRole, ProgramMeta};
 
-use crate::profile::Bucket;
+use crate::probe::{Probe, Step};
+use crate::profile::{Bucket, ProfileReport, Profiler};
+use crate::system::System;
 use crate::trace::TraceRecorder;
 
 /// Phase-transition entries kept per span; pathological FASEs past the
@@ -201,23 +206,42 @@ impl OpenSpan {
     }
 }
 
-/// The live span-tracing state carried by a [`crate::System`]
-/// (opt-in via [`crate::System::with_span_tracing`]).
+/// The per-FASE span probe.
 ///
 /// Holds a copy of each thread's per-op [`OpRole`] table (from the
-/// lowering's [`ProgramMeta`]) so the run loop can classify the op it
-/// just stepped without touching the timing path, one optional open
-/// span per core, and the closed spans.
+/// lowering's [`ProgramMeta`]) so it can classify each stepped op
+/// without touching the timing path, the [`Profiler`] whose counters
+/// it snapshots, one optional open span per core, and the closed
+/// spans.
 #[derive(Debug, Clone)]
-pub(crate) struct SpanTracer {
+pub struct SpanTracer {
+    profiler: Profiler,
     roles: Vec<Vec<OpRole>>,
     open: Vec<Option<OpenSpan>>,
     spans: Vec<FaseSpan>,
 }
 
 impl SpanTracer {
-    /// A tracer for the program described by `meta`.
-    pub(crate) fn new(meta: &ProgramMeta) -> Self {
+    /// A tracer for `sys`'s program, described by `meta` (from
+    /// [`pmemspec_isa::lower_program_with_meta`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `meta` does not describe `sys`'s program (thread
+    /// count or per-thread op counts disagree).
+    pub fn new(sys: &System, meta: &ProgramMeta) -> Self {
+        let program = sys.program();
+        let aligned = meta.threads.len() == program.thread_count()
+            && (meta.threads.iter().enumerate())
+                .all(|(i, t)| t.ops.len() == program.thread(i).ops().len());
+        assert!(
+            aligned,
+            "span metadata must align with the program's op streams"
+        );
+        Self::with_profiler(Profiler::new(sys), meta)
+    }
+
+    fn with_profiler(profiler: Profiler, meta: &ProgramMeta) -> Self {
         let roles: Vec<Vec<OpRole>> = meta
             .threads
             .iter()
@@ -225,27 +249,34 @@ impl SpanTracer {
             .collect();
         let cores = roles.len();
         SpanTracer {
+            profiler,
             roles,
             open: vec![None; cores],
             spans: Vec::new(),
         }
     }
 
-    /// The role of core `idx`'s op at `pc`, if in range.
-    pub(crate) fn role(&self, idx: usize, pc: usize) -> Option<OpRole> {
-        self.roles[idx].get(pc).copied()
+    /// The aggregate profile and the spans of the finished run. Each
+    /// span's bucket sums reconcile exactly with the profile for the
+    /// cycles it covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the traced run has not ended.
+    pub fn report(self) -> (ProfileReport, SpanReport) {
+        let profile = self.profiler.report();
+        debug_assert!(
+            self.open.iter().all(Option::is_none),
+            "run ended with an open span"
+        );
+        let spans = SpanReport::new(profile.design, self.spans);
+        (profile, spans)
     }
 
     /// A `FaseBegin` stepped on core `idx` at time `t` with profiler
     /// snapshot `snapshot`: opens a span, or (when one is already open)
     /// records a post-abort retry of the same FASE.
-    pub(crate) fn on_begin(
-        &mut self,
-        idx: usize,
-        fase: FaseId,
-        t: Cycle,
-        snapshot: [u64; Bucket::COUNT],
-    ) {
+    fn on_begin(&mut self, idx: usize, fase: FaseId, t: Cycle, snapshot: [u64; Bucket::COUNT]) {
         match &mut self.open[idx] {
             Some(open) => {
                 debug_assert_eq!(open.fase, fase, "retry re-issues the same FASE");
@@ -266,18 +297,9 @@ impl SpanTracer {
         }
     }
 
-    /// A misspeculation abort began on core `idx` at `at`.
-    pub(crate) fn on_abort(&mut self, idx: usize, at: Cycle) {
-        if let Some(open) = &mut self.open[idx] {
-            if open.phase != SpanPhase::Recovery {
-                open.push_transition(at, SpanPhase::Recovery);
-            }
-        }
-    }
-
     /// Core `idx` entered `phase` at `t` (no-op unless the phase
     /// changed, and no-op outside a FASE).
-    pub(crate) fn on_phase(&mut self, idx: usize, phase: SpanPhase, t: Cycle) {
+    fn on_phase(&mut self, idx: usize, phase: SpanPhase, t: Cycle) {
         if let Some(open) = &mut self.open[idx] {
             if open.phase != phase {
                 open.push_transition(t, phase);
@@ -288,7 +310,7 @@ impl SpanTracer {
     /// The committing `FaseEnd` retired on core `idx` at `end` with
     /// profiler snapshot `snapshot`: closes the span, attributing its
     /// cycles as the element-wise counter diff since open.
-    pub(crate) fn on_commit(&mut self, idx: usize, end: Cycle, snapshot: [u64; Bucket::COUNT]) {
+    fn on_commit(&mut self, idx: usize, end: Cycle, snapshot: [u64; Bucket::COUNT]) {
         let Some(open) = self.open[idx].take() else {
             debug_assert!(false, "commit without an open span");
             return;
@@ -311,15 +333,52 @@ impl SpanTracer {
             dropped_transitions: open.dropped,
         });
     }
+}
 
-    /// Closes the books. All spans must have committed (the simulator
-    /// drains every FASE before ending a run).
-    pub(crate) fn finish(self) -> Vec<FaseSpan> {
-        debug_assert!(
-            self.open.iter().all(Option::is_none),
-            "run ended with an open span"
-        );
-        self.spans
+impl Probe for SpanTracer {
+    fn charge(&mut self, core: usize, bucket: Bucket, until: Cycle) {
+        self.profiler.charge(core, bucket, until);
+    }
+
+    fn sample(&mut self, now: Cycle, sys: &System) {
+        self.profiler.sample(now, sys);
+    }
+
+    /// Opens a span at `FaseBegin` (or records a post-abort retry),
+    /// closes it at a committing `FaseEnd`, and records a phase
+    /// transition for everything in between.
+    fn step(&mut self, step: &Step) {
+        let Some(&role) = self.roles[step.core].get(step.pc) else {
+            return;
+        };
+        match role {
+            OpRole::FaseBegin => {
+                if let Op::FaseBegin { fase } = step.op {
+                    let snap = self.profiler.core_buckets(step.core);
+                    self.on_begin(step.core, fase, step.start, snap);
+                }
+            }
+            // A FaseEnd that left the core inside its FASE was a lazy
+            // abort, already seen by `fase_abort`.
+            OpRole::FaseEnd if step.in_fase => {}
+            OpRole::FaseEnd => {
+                let snap = self.profiler.core_buckets(step.core);
+                self.on_commit(step.core, step.end, snap);
+            }
+            _ => self.on_phase(step.core, phase_of(role), step.start),
+        }
+    }
+
+    fn fase_abort(&mut self, core: usize, at: Cycle) {
+        if let Some(open) = &mut self.open[core] {
+            if open.phase != SpanPhase::Recovery {
+                open.push_transition(at, SpanPhase::Recovery);
+            }
+        }
+    }
+
+    fn finish(&mut self, sys: &System) {
+        self.profiler.finish(sys);
     }
 }
 
@@ -513,6 +572,11 @@ mod tests {
         }
     }
 
+    fn tracer() -> SpanTracer {
+        let profiler = Profiler::with_series(DesignKind::PmemSpec, 1, Vec::new());
+        SpanTracer::with_profiler(profiler, &meta(1))
+    }
+
     #[test]
     fn every_role_has_a_phase() {
         // phase_of is total over OpRole; spot-check the grouping.
@@ -531,9 +595,8 @@ mod tests {
 
     #[test]
     fn open_commit_diffs_the_snapshot() {
-        let mut tr = SpanTracer::new(&meta(1));
-        assert_eq!(tr.role(0, 0), Some(OpRole::FaseBegin));
-        assert_eq!(tr.role(0, 9), None);
+        let mut tr = tracer();
+        assert_eq!(tr.roles[0].first(), Some(&OpRole::FaseBegin));
         tr.on_begin(
             0,
             FaseId(7),
@@ -546,7 +609,7 @@ mod tests {
             Cycle::from_raw(40),
             snapshot(&[(Bucket::Issue, 12), (Bucket::FenceDrain, 28)]),
         );
-        let spans = tr.finish();
+        let spans = tr.spans;
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!(s.fase, FaseId(7));
@@ -567,17 +630,17 @@ mod tests {
 
     #[test]
     fn retry_stays_in_one_span() {
-        let mut tr = SpanTracer::new(&meta(1));
+        let mut tr = tracer();
         tr.on_begin(0, FaseId(3), Cycle::from_raw(0), snapshot(&[]));
-        tr.on_abort(0, Cycle::from_raw(50));
-        tr.on_abort(0, Cycle::from_raw(55)); // still recovering: no dup
+        tr.fase_abort(0, Cycle::from_raw(50));
+        tr.fase_abort(0, Cycle::from_raw(55)); // still recovering: no dup
         tr.on_begin(0, FaseId(3), Cycle::from_raw(100), snapshot(&[]));
         tr.on_commit(
             0,
             Cycle::from_raw(200),
             snapshot(&[(Bucket::MisspecRecovery, 200)]),
         );
-        let spans = tr.finish();
+        let spans = tr.spans;
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!(s.attempts, 2);
@@ -594,7 +657,7 @@ mod tests {
 
     #[test]
     fn phase_transitions_dedup_and_cap() {
-        let mut tr = SpanTracer::new(&meta(1));
+        let mut tr = tracer();
         tr.on_begin(0, FaseId(0), Cycle::ZERO, snapshot(&[]));
         tr.on_phase(0, SpanPhase::Issue, Cycle::from_raw(1)); // same: no-op
         for i in 0..(MAX_TRANSITIONS as u64 + 10) {
@@ -606,7 +669,7 @@ mod tests {
             tr.on_phase(0, phase, Cycle::from_raw(2 + i));
         }
         tr.on_commit(0, Cycle::from_raw(1000), snapshot(&[]));
-        let spans = tr.finish();
+        let spans = tr.spans;
         let s = &spans[0];
         assert_eq!(s.transitions.len(), MAX_TRANSITIONS);
         assert_eq!(s.dropped_transitions, 11);
@@ -614,10 +677,10 @@ mod tests {
 
     #[test]
     fn phase_events_outside_a_fase_are_ignored() {
-        let mut tr = SpanTracer::new(&meta(1));
+        let mut tr = tracer();
         tr.on_phase(0, SpanPhase::Body, Cycle::from_raw(5));
-        tr.on_abort(0, Cycle::from_raw(6));
-        assert!(tr.finish().is_empty());
+        tr.fase_abort(0, Cycle::from_raw(6));
+        assert!(tr.spans.is_empty());
     }
 
     fn span(core: usize, fase: u64, begin: u64, end: u64, buckets: &[(Bucket, u64)]) -> FaseSpan {

@@ -48,31 +48,18 @@ use pmemspec_engine::pagemap::PageMap;
 use pmemspec_engine::stats::Stats;
 use pmemspec_engine::wheel::EventWheel;
 use pmemspec_isa::addr::{Addr, LineAddr, LINE_BYTES, PM_BASE, WORD_BYTES};
-use pmemspec_isa::{DesignKind, LockId, Op, OpRole, Program, ProgramMeta, ValueSrc};
+use pmemspec_isa::{DesignKind, LockId, Op, Program, ValueSrc};
 use pmemspec_mem::hierarchy::{AccessKind, CacheHierarchy, ServedFrom};
 use pmemspec_mem::pmc::controller_for;
 use pmemspec_mem::{Dram, MemoryImage, PersistPath, PmController};
 
 use crate::bloom::CountingBloom;
 use crate::persist_buffer::EpochPersistBuffer;
+use crate::probe::{BoundaryLog, PmcEvent, Probe, Step};
 use crate::profile::{Bucket, ProfileReport, Profiler};
 use crate::report::RunReport;
-use crate::span::{phase_of, SpanReport, SpanTracer};
 use crate::spec_buffer::{Detection, DetectionMode, SpecBuffer};
 use crate::strand_buffer::StrandBuffer;
-use crate::trace::TraceRecorder;
-
-/// Charges core `idx` up to `until` in `bucket` when profiling is on.
-///
-/// A free function over the profiler field (not a `System` method) so
-/// call sites inside `match &mut self.machinery` arms borrow only this
-/// one field.
-#[inline]
-fn prof(profiler: &mut Option<Profiler>, idx: usize, bucket: Bucket, until: Cycle) {
-    if let Some(p) = profiler {
-        p.to(idx, bucket, until);
-    }
-}
 
 /// One hot-path run counter. Incrementing a counter is a single array
 /// add on a dense `[u64; Counter::COUNT]` indexed by discriminant; the
@@ -180,8 +167,9 @@ impl Counter {
 
 /// Bumps one dense counter.
 ///
-/// A free function over the counter array (like [`prof`]) so call sites
-/// inside `match &mut self.machinery` arms borrow only this one field.
+/// A free function over the counter array (not a `System` method) so
+/// call sites inside `match &mut self.machinery` arms borrow only this
+/// one field.
 #[inline]
 fn bump(counters: &mut [u64; Counter::COUNT], c: Counter) {
     counters[c as usize] += 1;
@@ -479,19 +467,19 @@ enum PmcEventKind {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct PmcEvent {
+struct QueuedEvent {
     time: Cycle,
     seq: u64,
     kind: PmcEventKind,
 }
 
-impl Ord for PmcEvent {
+impl Ord for QueuedEvent {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
-impl PartialOrd for PmcEvent {
+impl PartialOrd for QueuedEvent {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -511,7 +499,7 @@ impl PartialOrd for PmcEvent {
 enum EventQueue {
     Wheel(EventWheel<PmcEventKind>),
     Heap {
-        heap: BinaryHeap<Reverse<PmcEvent>>,
+        heap: BinaryHeap<Reverse<QueuedEvent>>,
         seq: u64,
     },
 }
@@ -522,7 +510,7 @@ impl EventQueue {
             EventQueue::Wheel(w) => w.push(time, kind),
             EventQueue::Heap { heap, seq } => {
                 *seq += 1;
-                heap.push(Reverse(PmcEvent {
+                heap.push(Reverse(QueuedEvent {
                     time,
                     seq: *seq,
                     kind,
@@ -625,9 +613,6 @@ pub struct System {
     stats: Stats,
     /// Dense hot-path counters, folded into `stats` at report time.
     counters: [u64; Counter::COUNT],
-    /// `PMEMSPEC_DEBUG_DETECT`, read once at construction instead of
-    /// per controller event.
-    debug_detect: bool,
     // Ground truth.
     stale_reads: u64,
     inversions: u64,
@@ -639,18 +624,6 @@ pub struct System {
     /// [`pm_line_index`]. Merged into one paged array so each persist
     /// arrival pays a single page walk for all its per-line state.
     line_meta: PageMap<LineMeta>,
-    /// Optional execution trace (Chrome trace export).
-    tracer: Option<TraceRecorder>,
-    /// Optional cycle accounting + occupancy sampling. Observes only:
-    /// no timestamp ever flows from here back into the simulation.
-    profiler: Option<Profiler>,
-    /// Optional log of crash-interesting cycles (persist arrivals plus
-    /// fence/CLWB/checkpoint/FASE-marker execution instants), recorded by
-    /// [`System::run_boundaries`] for crash-point samplers.
-    boundary_log: Option<Vec<Cycle>>,
-    /// Optional per-FASE span tracing (implies `profiler`). Observes
-    /// only, like the profiler.
-    spans: Option<SpanTracer>,
 }
 
 impl System {
@@ -770,7 +743,6 @@ impl System {
                 }
             }
         };
-        assert!(cfg.cores <= 64, "runnable bitmap holds at most 64 cores");
         let cores = (0..cfg.cores)
             .map(|_| CoreState::new(cfg.store_queue))
             .collect();
@@ -795,16 +767,11 @@ impl System {
             policy,
             stats: Stats::new(),
             counters: [0; Counter::COUNT],
-            debug_detect: std::env::var_os("PMEMSPEC_DEBUG_DETECT").is_some(),
             stale_reads: 0,
             inversions: 0,
             persist_order_violations: 0,
             last_core_persist_applied: vec![Cycle::ZERO; cfg.cores],
             line_meta: PageMap::new(EMPTY_LINE_META),
-            tracer: None,
-            profiler: None,
-            boundary_log: None,
-            spans: None,
             cfg,
             program,
         })
@@ -832,19 +799,27 @@ impl System {
         self.events_next = self.events_next.min(time);
     }
 
-    /// The index of the runnable core with the earliest local time.
+    /// The runnable core with the earliest local time (the lowest index
+    /// on ties), plus the earliest local time among the *other*
+    /// runnable cores (`Cycle::MAX` when the winner is alone). The run
+    /// loop keeps stepping the winner while its time stays strictly
+    /// below that margin — the schedule cannot prefer anyone else until
+    /// then, so the rescan is skipped.
     #[inline]
-    fn next_core(&self) -> Option<usize> {
+    fn next_core(&self) -> Option<(usize, Cycle)> {
         let mut best: Option<usize> = None;
-        let mut best_time = Cycle::MAX;
+        let (mut best_time, mut others_min) = (Cycle::MAX, Cycle::MAX);
         let mut mask = self.runnable;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let t = self.cores[i].time;
             if best.is_none() || t < best_time {
+                others_min = best_time;
                 best = Some(i);
                 best_time = t;
+            } else if t < others_min {
+                others_min = t;
             }
         }
         if best.is_none() {
@@ -858,28 +833,7 @@ impl System {
                 "deadlock: {waiting} cores waiting, none runnable"
             );
         }
-        best
-    }
-
-    /// [`System::next_core`], plus the earliest local time among the
-    /// *other* runnable cores (`Cycle::MAX` when the winner is alone).
-    /// The dense run loop keeps stepping the winner while its time stays
-    /// strictly below that margin — the schedule cannot prefer anyone
-    /// else until then, so the full rescan is skipped.
-    #[inline]
-    fn next_core_with_margin(&self) -> Option<(usize, Cycle)> {
-        let best = self.next_core()?;
-        let mut others_min = Cycle::MAX;
-        let mut mask = self.runnable & !(1 << best);
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let t = self.cores[i].time;
-            if t < others_min {
-                others_min = t;
-            }
-        }
-        Some((best, others_min))
+        best.map(|i| (i, others_min))
     }
 
     /// Raises misspeculation-recovery flags on every core currently inside
@@ -896,31 +850,15 @@ impl System {
         }
     }
 
-    fn handle_detections(&mut self, detections: Vec<Detection>) {
+    fn handle_detections<P: Probe>(&mut self, detections: Vec<Detection>, probe: &mut P) {
         for d in detections {
-            match d {
-                Detection::LoadMisspec { at, line } => {
-                    if self.debug_detect {
-                        eprintln!("load-misspec: {line} at {at}");
-                    }
-                    bump(&mut self.counters, Counter::MisspecLoadDetected);
-                    self.trigger_misspec(at);
-                }
-                Detection::StoreMisspec {
-                    at,
-                    line,
-                    prev_id,
-                    new_id,
-                } => {
-                    if self.debug_detect {
-                        eprintln!(
-                            "store-misspec: line {line} at {at}: prev_id {prev_id} new_id {new_id}"
-                        );
-                    }
-                    bump(&mut self.counters, Counter::MisspecStoreDetected);
-                    self.trigger_misspec(at);
-                }
-            }
+            let (at, counter) = match d {
+                Detection::LoadMisspec { at, .. } => (at, Counter::MisspecLoadDetected),
+                Detection::StoreMisspec { at, .. } => (at, Counter::MisspecStoreDetected),
+            };
+            probe.pmc_event(at, PmcEvent::Misspec(d));
+            bump(&mut self.counters, counter);
+            self.trigger_misspec(at);
         }
     }
 
@@ -935,7 +873,7 @@ impl System {
     /// arrival order: persistence lands in the persistent image, and the
     /// speculation buffer sees the request stream.
     #[inline]
-    fn drain_events(&mut self, now: Cycle) {
+    fn drain_events<P: Probe>(&mut self, now: Cycle, probe: &mut P) {
         // Called before every instruction and almost always a no-op:
         // `events_next` is a lower bound on the earliest pending event,
         // so the common case is this one comparison, inlined into the
@@ -943,30 +881,15 @@ impl System {
         if self.events_next > now {
             return;
         }
-        self.drain_ready_events(now);
+        self.drain_ready_events(now, probe);
     }
 
-    fn drain_ready_events(&mut self, now: Cycle) {
+    fn drain_ready_events<P: Probe>(&mut self, now: Cycle, probe: &mut P) {
         while let Some((time, kind)) = self.events.pop_next(now) {
-            if let Some(log) = &mut self.boundary_log {
-                // Persist arrivals are exactly the instants where the
-                // crash-visible image changes.
-                if matches!(
-                    kind,
-                    PmcEventKind::PersistWord { .. } | PmcEventKind::PersistLine { .. }
-                ) {
-                    log.push(time);
-                }
-            }
             match kind {
                 PmcEventKind::WriteBack { line } => {
-                    if self.debug_detect {
-                        eprintln!("WB {line} at {time}");
-                    }
+                    probe.pmc_event(time, PmcEvent::WriteBack(line));
                     bump(&mut self.counters, Counter::PmcWritebackNotices);
-                    if let Some(tr) = &mut self.tracer {
-                        tr.instant("WB", time);
-                    }
                     let n = self.pmcs.len();
                     if let Machinery::PmemSpec { spec, .. } = &mut self.machinery {
                         let stall = spec[controller_for(line.raw(), n)].on_writeback(line, time);
@@ -974,9 +897,6 @@ impl System {
                     }
                 }
                 PmcEventKind::Read { line } => {
-                    if self.debug_detect {
-                        eprintln!("RD {line} at {time}");
-                    }
                     let meta = self.line_meta.get(pm_line_index(line));
                     if matches!(self.machinery, Machinery::PmemSpec { .. }) {
                         // Ground truth: the fetch returns truly stale data
@@ -1013,6 +933,8 @@ impl System {
                     core,
                 } => {
                     let core = core as usize;
+                    let line = addr.line();
+                    probe.pmc_event(time, PmcEvent::Persist(line));
                     // Ground truth: strict persistency requires each
                     // core's persists to apply in dispatch order, across
                     // *all* lines and controllers (§7's hazard shows up
@@ -1026,7 +948,6 @@ impl System {
                     } else {
                         self.last_core_persist_applied[core] = commit;
                     }
-                    let line = addr.line();
                     let line_idx = pm_line_index(line);
                     let meta = self.line_meta.get_mut(line_idx);
                     // Ground truth: persists to one word must apply in
@@ -1069,7 +990,7 @@ impl System {
                             let (detections, stall) = spec[controller_for(line.raw(), n)]
                                 .on_persist(line, spec_tag.get(), time);
                             self.note_overflow(stall);
-                            self.handle_detections(detections);
+                            self.handle_detections(detections, probe);
                         }
                         Machinery::Hops { bloom, .. } if hops_drain => {
                             bloom.remove(line.raw());
@@ -1078,6 +999,7 @@ impl System {
                     }
                 }
                 PmcEventKind::PersistLine { line } => {
+                    probe.pmc_event(time, PmcEvent::Persist(line));
                     self.image.persist_line_snapshot(line);
                 }
             }
@@ -1158,14 +1080,14 @@ impl System {
 
     /// Admits one entry into the core's store queue at `now`, stalling on
     /// a full queue. Returns the admission time.
-    fn sq_admit(&mut self, idx: usize, now: Cycle) -> Cycle {
+    fn sq_admit<P: Probe>(&mut self, idx: usize, now: Cycle, probe: &mut P) -> Cycle {
         let core = &mut self.cores[idx];
         while core.sq.pop_ready(now).is_some() {}
         if core.sq.is_full() {
             bump(&mut self.counters, Counter::CoreSqFullStalls);
             let oldest = core.sq.pop().expect("full queue non-empty").ready;
             let admitted = oldest.max(now);
-            prof(&mut self.profiler, idx, Bucket::SqFull, admitted);
+            probe.charge(idx, Bucket::SqFull, admitted);
             admitted
         } else {
             now
@@ -1174,7 +1096,7 @@ impl System {
 
     /// Admits one load into the core's MSHRs at `now`, stalling when all
     /// are busy. Returns the issue time.
-    fn load_admit(&mut self, idx: usize, now: Cycle) -> Cycle {
+    fn load_admit<P: Probe>(&mut self, idx: usize, now: Cycle, probe: &mut P) -> Cycle {
         let core = &mut self.cores[idx];
         while core.loads.pop_ready(now).is_some() {}
         if core.loads.is_full() {
@@ -1183,7 +1105,7 @@ impl System {
             let issue = oldest.ready.max(now);
             // The stall waits out the oldest in-flight load: charge the
             // level that is serving it.
-            prof(&mut self.profiler, idx, oldest.value, issue);
+            probe.charge(idx, oldest.value, issue);
             issue
         } else {
             now
@@ -1193,14 +1115,14 @@ impl System {
     /// Joins all outstanding loads: the core cannot pass `now` until every
     /// in-flight load has returned. The wait is charged to the level
     /// serving the slowest load.
-    fn join_loads(&mut self, idx: usize, now: Cycle) -> Cycle {
+    fn join_loads<P: Probe>(&mut self, idx: usize, now: Cycle, probe: &mut P) -> Cycle {
         let core = &mut self.cores[idx];
         let slowest = core.loads.iter().max_by_key(|e| e.ready).copied();
         core.loads.clear();
         let done = slowest.map_or(now, |e| e.ready).max(now);
         if let Some(e) = slowest {
             if e.ready > now {
-                prof(&mut self.profiler, idx, e.value, e.ready);
+                probe.charge(idx, e.value, e.ready);
             }
         }
         done
@@ -1209,7 +1131,7 @@ impl System {
     /// Aborts the FASE `idx` is executing: restores pre-images, persists
     /// the restoration, releases held locks, and rewinds to the FASE
     /// begin (§6.2).
-    fn abort_fase(&mut self, idx: usize) {
+    fn abort_fase<P: Probe>(&mut self, idx: usize, probe: &mut P) {
         let t0 = {
             let core = &self.cores[idx];
             core.time.max(core.flag_time)
@@ -1262,7 +1184,7 @@ impl System {
         let keep_locks = ck.map_or(0, |(_, _, locks)| locks);
         let held: Vec<LockId> = self.cores[idx].held_locks.split_off(keep_locks);
         for lock_id in held {
-            self.release_lock(lock_id, idx, t);
+            self.release_lock(lock_id, idx, t, probe);
         }
         let core = &mut self.cores[idx];
         core.spec_tag = None;
@@ -1304,10 +1226,10 @@ impl System {
         // Everything the abort consumed — trap, undo-log restoration
         // writes, post-abort quiesce — is recovery overhead.
         let recovered = self.cores[idx].time;
-        prof(&mut self.profiler, idx, Bucket::MisspecRecovery, recovered);
+        probe.charge(idx, Bucket::MisspecRecovery, recovered);
     }
 
-    fn release_lock(&mut self, lock_id: LockId, idx: usize, at: Cycle) {
+    fn release_lock<P: Probe>(&mut self, lock_id: LockId, idx: usize, at: Cycle, probe: &mut P) {
         let lock = self
             .locks
             .get_mut(&lock_id)
@@ -1324,7 +1246,7 @@ impl System {
             let granted_at = waiter.time;
             // The waiter was parked since its Lock instruction: that
             // whole window is time blocked on the lock.
-            prof(&mut self.profiler, next, Bucket::LockWait, granted_at);
+            probe.charge(next, Bucket::LockWait, granted_at);
         } else {
             lock.holder = None;
             lock.granted = false;
@@ -1332,28 +1254,22 @@ impl System {
         }
     }
 
-    /// Executes the instruction at `idx`'s program counter.
-    fn step(&mut self, idx: usize) {
-        let thread = self.program.thread(idx);
-        let Some(&op) = thread.ops().get(self.cores[idx].pc) else {
-            self.cores[idx].status = CoreStatus::Done;
-            self.runnable &= !(1 << idx);
-            return;
-        };
+    /// Executes `op`, the instruction at `idx`'s program counter.
+    fn step<P: Probe>(&mut self, idx: usize, op: Op, probe: &mut P) {
         let t = self.cores[idx].time;
         let one = Duration::from_cycles(1);
         match op {
             Op::Compute { cycles } => {
                 // Compute consumes loaded values: join in-flight loads.
-                let start = self.join_loads(idx, t);
+                let start = self.join_loads(idx, t, probe);
                 let done = start + Duration::from_cycles(cycles as u64);
-                prof(&mut self.profiler, idx, Bucket::Compute, done);
+                probe.charge(idx, Bucket::Compute, done);
                 self.cores[idx].time = done;
                 self.cores[idx].pc += 1;
             }
             Op::Load { addr } => {
                 let line = addr.line();
-                let issue = self.load_admit(idx, t);
+                let issue = self.load_admit(idx, t, probe);
                 let out = self.hierarchy.access(
                     idx,
                     AccessKind::Read,
@@ -1396,7 +1312,7 @@ impl System {
                     .loads
                     .push(completed, load_bucket)
                     .expect("load_admit freed a slot");
-                prof(&mut self.profiler, idx, Bucket::Issue, issue + one);
+                probe.charge(idx, Bucket::Issue, issue + one);
                 self.cores[idx].time = issue + one;
                 self.cores[idx].pc += 1;
             }
@@ -1407,7 +1323,7 @@ impl System {
                     self.cores[idx].shadow.push((addr, old));
                 }
                 self.image.store_volatile(addr, value);
-                let retire = self.sq_admit(idx, t);
+                let retire = self.sq_admit(idx, t, probe);
                 let line = addr.line();
                 let out = self.hierarchy.access(
                     idx,
@@ -1557,7 +1473,7 @@ impl System {
                         }
                     }
                 }
-                prof(&mut self.profiler, idx, Bucket::Issue, retire + one);
+                probe.charge(idx, Bucket::Issue, retire + one);
                 if next_time > retire + one {
                     // The only post-retire bumps are persist-machinery
                     // back-pressure (DPO/HOPS/StrandWeaver full buffers)
@@ -1567,7 +1483,7 @@ impl System {
                         Machinery::PmemSpec { .. } => Bucket::FenceDrain,
                         _ => Bucket::PersistBufferFull,
                     };
-                    prof(&mut self.profiler, idx, bucket, next_time);
+                    probe.charge(idx, bucket, next_time);
                 }
                 self.cores[idx].time = next_time;
                 self.cores[idx].pc += 1;
@@ -1575,7 +1491,7 @@ impl System {
             Op::Clwb { addr } => {
                 match self.machinery {
                     Machinery::IntelX86 => {
-                        let retire = self.sq_admit(idx, t);
+                        let retire = self.sq_admit(idx, t, probe);
                         let out = self
                             .hierarchy
                             .clwb(idx, addr.line(), retire, &mut self.pmcs);
@@ -1598,14 +1514,14 @@ impl System {
                             .sq
                             .push(completed, SqKind::Clwb)
                             .expect("sq_admit freed a slot");
-                        prof(&mut self.profiler, idx, Bucket::Issue, retire + one);
+                        probe.charge(idx, Bucket::Issue, retire + one);
                         self.cores[idx].time = retire + one;
                     }
                     // DPO hardware absorbs the flush hint — the persist
                     // buffer already owns persistence (§3.2: DPO runs
                     // unmodified x86 binaries).
                     _ => {
-                        prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                        probe.charge(idx, Bucket::Issue, t + one);
                         self.cores[idx].time = t + one;
                     }
                 }
@@ -1627,7 +1543,7 @@ impl System {
                                     SqKind::Clwb => Bucket::Flush,
                                     SqKind::Store => Bucket::FenceDrain,
                                 };
-                                prof(&mut self.profiler, idx, bucket, e.ready);
+                                probe.charge(idx, bucket, e.ready);
                             }
                         }
                         self.cores[idx].time = drained;
@@ -1645,7 +1561,7 @@ impl System {
                             drained += self.cfg.persist_path_latency;
                         }
                         buffers[idx].ofence();
-                        prof(&mut self.profiler, idx, Bucket::FenceDrain, drained);
+                        probe.charge(idx, Bucket::FenceDrain, drained);
                         self.cores[idx].time = drained;
                         bump(&mut self.counters, Counter::DpoBarrierDrains);
                     }
@@ -1659,7 +1575,7 @@ impl System {
                 };
                 buffers[idx].ofence();
                 bump(&mut self.counters, Counter::HopsOfences);
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
@@ -1672,12 +1588,12 @@ impl System {
                 if drained > t {
                     drained += self.cfg.persist_path_latency;
                 }
-                let joined = self.join_loads(idx, t);
+                let joined = self.join_loads(idx, t, probe);
                 let done = drained.max(joined);
                 // Piecewise by binding constraint: join_loads charged
                 // [t, joined] to the slowest load's level; the drain
                 // tail beyond that is fence time.
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
                 bump(&mut self.counters, Counter::HopsDfences);
                 self.cores[idx].pc += 1;
@@ -1696,9 +1612,9 @@ impl System {
                 if drained > t {
                     drained += self.cfg.persist_path_latency;
                 }
-                let joined = self.join_loads(idx, t);
+                let joined = self.join_loads(idx, t, probe);
                 let done = drained.max(joined);
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
                 bump(&mut self.counters, Counter::SpecBarriers);
                 self.cores[idx].pc += 1;
@@ -1709,13 +1625,13 @@ impl System {
                 };
                 self.cores[idx].spec_tag = Some(*counter);
                 *counter += 1;
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
             Op::SpecRevoke => {
                 self.cores[idx].spec_tag = None;
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
@@ -1725,7 +1641,7 @@ impl System {
                 };
                 buffers[idx].new_strand();
                 bump(&mut self.counters, Counter::StrandNew);
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
@@ -1735,7 +1651,7 @@ impl System {
                 };
                 buffers[idx].strand_barrier();
                 bump(&mut self.counters, Counter::StrandBarriers);
-                prof(&mut self.profiler, idx, Bucket::Issue, t + one);
+                probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
@@ -1748,9 +1664,9 @@ impl System {
                 if joined > t {
                     joined += self.cfg.persist_path_latency;
                 }
-                let loads = self.join_loads(idx, t);
+                let loads = self.join_loads(idx, t, probe);
                 let done = joined.max(loads);
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
                 bump(&mut self.counters, Counter::StrandJoins);
                 self.cores[idx].pc += 1;
@@ -1773,7 +1689,7 @@ impl System {
                     // first (x86 locked ops are full fences), and the
                     // acquire cannot succeed before the previous release
                     // became visible.
-                    let t_loads = self.join_loads(idx, t);
+                    let t_loads = self.join_loads(idx, t, probe);
                     let store_drained = self.cores[idx].last_store_commit;
                     let t_fenced = t_loads.max(store_drained).max(free_at);
                     if t_fenced > t_loads {
@@ -1785,7 +1701,7 @@ impl System {
                         } else {
                             Bucket::FenceDrain
                         };
-                        prof(&mut self.profiler, idx, bucket, t_fenced);
+                        probe.charge(idx, bucket, t_fenced);
                     }
                     let out = self.hierarchy.access(
                         idx,
@@ -1797,12 +1713,7 @@ impl System {
                     );
                     self.record_access(out.served_from);
                     self.handle_evictions(out.dirty_pm_evictions);
-                    prof(
-                        &mut self.profiler,
-                        idx,
-                        served_bucket(out.served_from),
-                        out.completed,
-                    );
+                    probe.charge(idx, served_bucket(out.served_from), out.completed);
                     let mut done = out.completed;
                     if let Machinery::Dpo { buffers, .. } = &self.machinery {
                         // DPO orders persists at every barrier the program
@@ -1815,7 +1726,7 @@ impl System {
                         done = done.max(drained);
                         bump(&mut self.counters, Counter::DpoBarrierDrains);
                     }
-                    prof(&mut self.profiler, idx, Bucket::FenceDrain, done);
+                    probe.charge(idx, Bucket::FenceDrain, done);
                     let lock_state = self.locks.get_mut(&lock).expect("just inserted");
                     lock_state.holder = Some(idx);
                     lock_state.granted = false;
@@ -1834,7 +1745,7 @@ impl System {
                 // The release store becomes visible only after all prior
                 // stores committed (TSO) and critical-section loads
                 // returned.
-                let t_loads = self.join_loads(idx, t);
+                let t_loads = self.join_loads(idx, t, probe);
                 let mut release_at = t_loads.max(self.cores[idx].last_store_commit);
                 if let Machinery::Dpo { buffers, .. } = &self.machinery {
                     let mut drained = buffers[idx].drained_at(t);
@@ -1846,7 +1757,7 @@ impl System {
                 }
                 // Store-queue drain (TSO release order) and the DPO
                 // barrier drain are both ordering stalls.
-                prof(&mut self.profiler, idx, Bucket::FenceDrain, release_at);
+                probe.charge(idx, Bucket::FenceDrain, release_at);
                 let line = self.locks.get(&lock).expect("unlocking unknown lock").line;
                 let out = self.hierarchy.access(
                     idx,
@@ -1859,19 +1770,14 @@ impl System {
                 self.record_access(out.served_from);
                 self.handle_evictions(out.dirty_pm_evictions);
                 let done = out.completed;
-                prof(
-                    &mut self.profiler,
-                    idx,
-                    served_bucket(out.served_from),
-                    done,
-                );
+                probe.charge(idx, served_bucket(out.served_from), done);
                 let pos = self.cores[idx]
                     .held_locks
                     .iter()
                     .position(|&l| l == lock)
                     .expect("unlocking a lock not held");
                 self.cores[idx].held_locks.remove(pos);
-                self.release_lock(lock, idx, done);
+                self.release_lock(lock, idx, done, probe);
                 self.cores[idx].time = done;
                 self.cores[idx].pc += 1;
             }
@@ -1886,7 +1792,7 @@ impl System {
                 core.checkpoint = Some((core.pc, core.shadow.len(), core.held_locks.len()));
                 core.time = t + one;
                 core.pc += 1;
-                prof(&mut self.profiler, idx, Bucket::Checkpoint, t + one);
+                probe.charge(idx, Bucket::Checkpoint, t + one);
                 bump(&mut self.counters, Counter::FaseCheckpoints);
             }
             Op::FaseBegin { .. } => {
@@ -1902,11 +1808,12 @@ impl System {
                 core.pc += 1;
             }
             Op::FaseEnd { .. } => {
-                let joined = self.join_loads(idx, t);
+                let joined = self.join_loads(idx, t, probe);
                 self.cores[idx].time = joined;
                 if self.cores[idx].misspec_flag {
                     // Lazy recovery: roll back at the commit point.
-                    self.abort_fase(idx);
+                    self.abort_fase(idx, probe);
+                    probe.fase_abort(idx, t);
                 } else {
                     let duration = t.saturating_since(self.cores[idx].fase_start_time);
                     self.stats.observe("fase.latency", duration);
@@ -1932,35 +1839,17 @@ impl System {
     /// persists may or may not land, which is exactly the torn state
     /// recovery must handle); a FASE counts as durable only when its
     /// end-of-FASE barrier completed by `crash_at`.
-    pub fn run_until(mut self, crash_at: Cycle) -> CrashOutcome {
-        let mut durable_fases = vec![0u64; self.cores.len()];
-        let mut started_fases = vec![0u64; self.cores.len()];
-        while let Some(idx) = self.next_core() {
-            if self.cores[idx].time < self.stall_until {
-                self.cores[idx].time = self.stall_until;
-            }
-            let t = self.cores[idx].time;
-            if t > crash_at {
-                break;
-            }
-            self.drain_events(t);
-            let pc = self.cores[idx].pc;
-            match self.program.thread(idx).ops().get(pc) {
-                Some(Op::FaseEnd { .. }) if !self.cores[idx].misspec_flag => {
-                    durable_fases[idx] += 1;
-                }
-                Some(Op::FaseBegin { .. }) => {
-                    started_fases[idx] += 1;
-                }
-                _ => {}
-            }
-            self.step(idx);
-        }
-        self.drain_events(crash_at);
+    pub fn run_until(self, crash_at: Cycle) -> CrashOutcome {
+        let mut stop = CrashStop {
+            at: crash_at,
+            durable_fases: vec![0; self.cores.len()],
+            started_fases: vec![0; self.cores.len()],
+        };
+        let (_, image) = self.run_with(&mut stop);
         CrashOutcome {
-            persistent: self.image.persistent_snapshot(),
-            durable_fases,
-            started_fases,
+            persistent: image.persistent_snapshot(),
+            durable_fases: stop.durable_fases,
+            started_fases: stop.started_fases,
         }
     }
 
@@ -1980,185 +1869,106 @@ impl System {
     /// # Panics
     ///
     /// Same as [`System::run`].
-    pub fn run_full(mut self) -> (RunReport, MemoryImage) {
-        self.run_loop();
+    pub fn run_full(self) -> (RunReport, MemoryImage) {
+        self.run_with(&mut ())
+    }
+
+    /// Runs to completion and returns the report together with the
+    /// cycle-accounting profile.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`System::run`].
+    pub fn run_profiled(self) -> (RunReport, ProfileReport) {
+        let mut profiler = Profiler::new(&self);
+        let (report, _) = self.run_with(&mut profiler);
+        (report, profiler.report())
+    }
+
+    /// Runs to completion recording every crash-interesting cycle (see
+    /// [`BoundaryLog`]), sorted and deduplicated.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`System::run`].
+    pub fn run_boundaries(self) -> (RunReport, Vec<Cycle>) {
+        let mut log = BoundaryLog::default();
+        let (report, _) = self.run_with(&mut log);
+        (report, log.into_cycles())
+    }
+
+    /// Runs the program under `probe` (see [`Probe`]) and returns the
+    /// report and the final memory image. This is the scheduling loop
+    /// behind every run entry point.
+    ///
+    /// Each step runs the runnable core with the earliest clock:
+    /// schedule → drain the PM controller → poll for an eager abort →
+    /// execute. The loop stays on the stepped core while it remains
+    /// *strictly* the earliest: re-scanning all cores per step is the
+    /// dominant loop overhead, and a core typically retires several
+    /// 1-cycle ops before a memory stall pushes it past its peers. It
+    /// bails to a full rescan the moment the decision could differ: a
+    /// tie (index order decides), or any change to the runnable set (a
+    /// step can wake a waiter whose clock is arbitrary). No step moves
+    /// another core's clock without waking it, so the schedule is
+    /// exactly that of a rescan per step. The run ends when every thread
+    /// is done or the next step would start past the probe's horizon;
+    /// either way the PM controller then drains up to the horizon.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`System::run`].
+    pub fn run_with<P: Probe>(mut self, probe: &mut P) -> (RunReport, MemoryImage) {
+        let horizon = probe.horizon();
+        'run: while let Some((idx, others_min)) = self.next_core() {
+            loop {
+                if self.cores[idx].time < self.stall_until {
+                    // Speculation-buffer overflow pauses every core
+                    // (§5.3).
+                    probe.charge(idx, Bucket::SpecPause, self.stall_until);
+                    self.cores[idx].time = self.stall_until;
+                }
+                let t = self.cores[idx].time;
+                if t > horizon {
+                    break 'run;
+                }
+                self.drain_events(t, probe);
+                probe.sample(t, &self);
+                let runnable_before = self.runnable;
+                let core = &self.cores[idx];
+                let pc = core.pc;
+                if core.misspec_flag
+                    && self.policy == RecoveryPolicy::Eager
+                    && core.in_fase
+                    && core.flag_time <= t
+                {
+                    self.abort_fase(idx, probe);
+                    probe.fase_abort(idx, t);
+                } else if let Some(&op) = self.program.thread(idx).ops().get(pc) {
+                    self.step(idx, op, probe);
+                    let core = &self.cores[idx];
+                    probe.step(&Step {
+                        core: idx,
+                        pc,
+                        op,
+                        start: t,
+                        end: core.time,
+                        in_fase: core.in_fase,
+                    });
+                } else {
+                    // The thread ran off the end of its program.
+                    self.cores[idx].status = CoreStatus::Done;
+                    self.runnable &= !(1 << idx);
+                }
+                if self.runnable != runnable_before || self.cores[idx].time >= others_min {
+                    break;
+                }
+            }
+        }
+        self.drain_events(horizon, probe);
+        probe.finish(&self);
         let image = std::mem::take(&mut self.image);
         (self.build_report(), image)
-    }
-
-    /// The main execution loop shared by every `run_*` entry point.
-    ///
-    /// Dispatches to a dense loop when nothing observes execution: the
-    /// per-step instrumentation checks (occupancy sampling, eager-abort
-    /// polling, boundary logging, trace recording) exist only on the
-    /// instrumented path, and with them gone a step is exactly
-    /// schedule → drain → execute. Both paths produce identical
-    /// simulated results — instrumentation only observes.
-    fn run_loop(&mut self) {
-        let instrumented = self.profiler.is_some()
-            || self.tracer.is_some()
-            || self.boundary_log.is_some()
-            || self.spans.is_some()
-            || self.policy == RecoveryPolicy::Eager;
-        if instrumented {
-            self.run_loop_instrumented();
-        } else {
-            while let Some((idx, others_min)) = self.next_core_with_margin() {
-                // Stay on this core while it is *strictly* the earliest:
-                // re-scanning all cores per step is the dominant loop
-                // overhead, and a core typically retires several 1-cycle
-                // ops before a memory stall pushes it past its peers.
-                // Bail to a full rescan the moment the decision could
-                // differ: a tie (index order decides), or any change to
-                // the runnable set (a step can wake a waiter whose local
-                // time is arbitrary).
-                loop {
-                    if self.cores[idx].time < self.stall_until {
-                        // Speculation-buffer overflow pauses every core
-                        // (§5.3).
-                        self.cores[idx].time = self.stall_until;
-                    }
-                    let t = self.cores[idx].time;
-                    self.drain_events(t);
-                    let runnable_before = self.runnable;
-                    self.step(idx);
-                    if self.runnable != runnable_before || self.cores[idx].time >= others_min {
-                        break;
-                    }
-                }
-            }
-        }
-        self.drain_events(Cycle::MAX);
-    }
-
-    fn run_loop_instrumented(&mut self) {
-        while let Some(idx) = self.next_core() {
-            if self.cores[idx].time < self.stall_until {
-                // Speculation-buffer overflow pauses every core (§5.3).
-                prof(&mut self.profiler, idx, Bucket::SpecPause, self.stall_until);
-                self.cores[idx].time = self.stall_until;
-            }
-            let t = self.cores[idx].time;
-            self.drain_events(t);
-            if self.profiler.is_some() {
-                self.sample_occupancy(t);
-            }
-            if self.policy == RecoveryPolicy::Eager
-                && self.cores[idx].misspec_flag
-                && self.cores[idx].in_fase
-                && self.cores[idx].flag_time <= t
-            {
-                self.abort_fase(idx);
-                if let Some(sp) = &mut self.spans {
-                    sp.on_abort(idx, t);
-                }
-                continue;
-            }
-            let pc_before = self.cores[idx].pc;
-            if self.boundary_log.is_some() {
-                let boundary = self
-                    .program
-                    .thread(idx)
-                    .ops()
-                    .get(pc_before)
-                    .is_some_and(Op::is_crash_boundary);
-                if boundary {
-                    if let Some(log) = &mut self.boundary_log {
-                        log.push(t);
-                    }
-                }
-            }
-            self.step(idx);
-            if self.tracer.is_some() {
-                self.record_step(idx, pc_before, t);
-            }
-            if self.spans.is_some() {
-                self.record_span_step(idx, pc_before, t);
-            }
-        }
-    }
-
-    /// Feeds the just-executed instruction to the span tracer: opens a
-    /// span at `FaseBegin` (or records a post-abort retry), closes it
-    /// at a committing `FaseEnd` (one that left the core inside its
-    /// FASE was a lazy abort instead), and records a phase transition
-    /// for everything in between. Observes only — reads the profiler's
-    /// counters and the core's clock, writes neither.
-    fn record_span_step(&mut self, idx: usize, pc_before: usize, start: Cycle) {
-        let Some(role) = self.spans.as_ref().and_then(|sp| sp.role(idx, pc_before)) else {
-            return;
-        };
-        match role {
-            OpRole::FaseBegin => {
-                let Some(&Op::FaseBegin { fase }) = self.program.thread(idx).ops().get(pc_before)
-                else {
-                    return;
-                };
-                let snap = self
-                    .profiler
-                    .as_ref()
-                    .expect("span tracing implies profiling")
-                    .core_buckets(idx);
-                if let Some(sp) = &mut self.spans {
-                    sp.on_begin(idx, fase, start, snap);
-                }
-            }
-            OpRole::FaseEnd => {
-                if self.cores[idx].in_fase {
-                    // The commit point found the misspeculation flag
-                    // set: this step was a lazy abort, not a commit.
-                    if let Some(sp) = &mut self.spans {
-                        sp.on_abort(idx, start);
-                    }
-                } else {
-                    let end = self.cores[idx].time;
-                    let snap = self
-                        .profiler
-                        .as_ref()
-                        .expect("span tracing implies profiling")
-                        .core_buckets(idx);
-                    if let Some(sp) = &mut self.spans {
-                        sp.on_commit(idx, end, snap);
-                    }
-                }
-            }
-            _ => {
-                if let Some(sp) = &mut self.spans {
-                    sp.on_phase(idx, phase_of(role), start);
-                }
-            }
-        }
-    }
-
-    /// Records the just-executed instruction as a trace span.
-    fn record_step(&mut self, idx: usize, pc_before: usize, start: Cycle) {
-        let Some(op) = self.program.thread(idx).ops().get(pc_before) else {
-            return;
-        };
-        let name = match op {
-            Op::Load { .. } => "ld",
-            Op::Store { .. } => "st",
-            Op::Clwb { .. } => "clwb",
-            Op::Sfence => "sfence",
-            Op::Ofence => "ofence",
-            Op::Dfence => "dfence",
-            Op::SpecBarrier => "spec-barrier",
-            Op::SpecAssign => "spec-assign",
-            Op::SpecRevoke => "spec-revoke",
-            Op::NewStrand => "new-strand",
-            Op::JoinStrand => "join-strand",
-            Op::StrandBarrier => "persist-barrier",
-            Op::Compute { .. } => "compute",
-            Op::Lock { .. } => "lock",
-            Op::Unlock { .. } => "unlock",
-            Op::Checkpoint => "checkpoint",
-            Op::FaseBegin { .. } => "fase-begin",
-            Op::FaseEnd { .. } => "fase-end",
-        };
-        let end = self.cores[idx].time;
-        if let Some(tr) = &mut self.tracer {
-            tr.span(idx, name, start, end.max(start));
-        }
     }
 
     fn build_report(mut self) -> RunReport {
@@ -2248,18 +2058,24 @@ impl System {
         }
     }
 
-    /// Enables execution tracing; retrieve the recorder with
-    /// [`System::run_traced`].
-    pub fn with_trace(mut self) -> Self {
-        self.tracer = Some(TraceRecorder::new(self.cfg.cores));
-        self
+    /// The program being run.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
     }
 
-    /// Enables cycle accounting and occupancy sampling; retrieve the
-    /// profile with [`System::run_profiled`]. Profiling observes only —
-    /// it cannot change any simulated timestamp, so the run's
-    /// [`RunReport`] is byte-identical with or without it.
-    pub fn with_profiling(mut self) -> Self {
+    /// Each core's clock.
+    pub(crate) fn core_times(&self) -> Vec<Cycle> {
+        self.cores.iter().map(|c| c.time).collect()
+    }
+
+    /// Dirty PM lines still cached in the LLC.
+    pub(crate) fn llc_dirty_pm_lines(&self) -> usize {
+        self.hierarchy.llc_dirty_pm_lines()
+    }
+
+    /// Names of the occupancy series [`System::occupancy_snapshot`]
+    /// reports, in its order.
+    pub(crate) fn occupancy_series(&self) -> Vec<String> {
         let mut names = Vec::new();
         for i in 0..self.cfg.cores {
             names.push(format!("core{i}.sq"));
@@ -2280,58 +2096,12 @@ impl System {
                 names.push(format!("pmc{j}.spec"));
             }
         }
-        self.profiler = Some(Profiler::new(self.cfg.cores, names));
-        self
+        names
     }
 
-    /// Enables per-FASE span tracing driven by the lowering metadata
-    /// `meta` (from [`pmemspec_isa::lower_program_with_meta`]); implies
-    /// [`System::with_profiling`], since each span's bucket waterfall
-    /// is a diff of the profiler's counters. Retrieve the spans with
-    /// [`System::run_spans`]. Like profiling, span tracing observes
-    /// only: the run's [`RunReport`] and persistent image are
-    /// byte-identical with or without it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `meta` does not describe this system's program
-    /// (thread count or per-thread op counts disagree).
-    pub fn with_span_tracing(mut self, meta: &ProgramMeta) -> Self {
-        assert_eq!(
-            meta.threads.len(),
-            self.program.thread_count(),
-            "span metadata thread count must match the program"
-        );
-        for (i, t) in meta.threads.iter().enumerate() {
-            assert_eq!(
-                t.ops.len(),
-                self.program.thread(i).ops().len(),
-                "span metadata for thread {i} must align with its op stream"
-            );
-        }
-        if self.profiler.is_none() {
-            self = self.with_profiling();
-        }
-        self.spans = Some(SpanTracer::new(meta));
-        self
-    }
-
-    /// Records any occupancy samples due by `now` (fixed cadence, with
-    /// catch-up over large time jumps).
-    fn sample_occupancy(&mut self, now: Cycle) {
-        let Some(mut p) = self.profiler.take() else {
-            return;
-        };
-        while let Some(at) = p.next_sample_due(now) {
-            let values = self.occupancy_snapshot(at);
-            p.record_samples(at, &values);
-        }
-        self.profiler = Some(p);
-    }
-
-    /// Queue depths at `at`, in [`System::with_profiling`]'s series
-    /// order. Read-only: every accessor used here is non-mutating.
-    fn occupancy_snapshot(&self, at: Cycle) -> Vec<u64> {
+    /// Queue depths at `at`, in [`System::occupancy_series`] order.
+    /// Read-only: every accessor used here is non-mutating.
+    pub(crate) fn occupancy_snapshot(&self, at: Cycle) -> Vec<u64> {
         let mut values = Vec::new();
         for (i, core) in self.cores.iter().enumerate() {
             values.push(core.sq.iter().filter(|e| e.ready > at).count() as u64);
@@ -2358,161 +2128,28 @@ impl System {
         }
         values
     }
+}
 
-    /// Runs to completion and returns the report together with the
-    /// cycle-accounting profile. Enables profiling if
-    /// [`System::with_profiling`] was not already called.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_profiled(self) -> (RunReport, ProfileReport) {
-        let (report, _, profile) = self.run_instrumented(false);
-        (report, profile)
+/// The power failure behind [`System::run_until`]: stops the run at the
+/// crash instant and counts, per thread, the FASEs begun and the FASEs
+/// whose committing end started by then.
+struct CrashStop {
+    at: Cycle,
+    durable_fases: Vec<u64>,
+    started_fases: Vec<u64>,
+}
+
+impl Probe for CrashStop {
+    fn horizon(&self) -> Cycle {
+        self.at
     }
 
-    /// Runs with both tracing and profiling enabled, returning the
-    /// instruction trace alongside the profile — merge the profile's
-    /// occupancy series into the trace with
-    /// [`ProfileReport::add_counter_tracks`] for a timeline with queue
-    /// depths under it.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_traced_profiled(self) -> (RunReport, TraceRecorder, ProfileReport) {
-        self.run_instrumented(true)
-    }
-
-    fn run_instrumented(mut self, trace: bool) -> (RunReport, TraceRecorder, ProfileReport) {
-        if self.profiler.is_none() {
-            self = self.with_profiling();
+    fn step(&mut self, step: &Step) {
+        match step.op {
+            Op::FaseBegin { .. } => self.started_fases[step.core] += 1,
+            Op::FaseEnd { .. } if !step.in_fase => self.durable_fases[step.core] += 1,
+            _ => {}
         }
-        if trace && self.tracer.is_none() {
-            self.tracer = Some(TraceRecorder::new(self.cfg.cores));
-        }
-        self.run_loop();
-        let profiler = self.profiler.take().expect("profiling enabled above");
-        let tracer = self.tracer.take().unwrap_or_default();
-        let final_times: Vec<Cycle> = self.cores.iter().map(|c| c.time).collect();
-        let llc_dirty = self.hierarchy.llc_dirty_pm_lines();
-        let design = self.program.design();
-        let report = self.build_report();
-        let profile = profiler.finish(design, &final_times, report.total_time, llc_dirty);
-        (report, tracer, profile)
-    }
-
-    /// Runs with per-FASE span tracing (see
-    /// [`System::with_span_tracing`], enabled here if it was not
-    /// already), returning the report, the aggregate cycle profile, and
-    /// the per-FASE spans. Each span's bucket sums reconcile exactly
-    /// with the profile for the cycles it covers.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`] and [`System::with_span_tracing`].
-    pub fn run_spans(self, meta: &ProgramMeta) -> (RunReport, ProfileReport, SpanReport) {
-        let (report, _, _, profile, spans) = self.run_span_instrumented(meta, false);
-        (report, profile, spans)
-    }
-
-    /// Like [`System::run_spans`], but also records the instruction
-    /// trace so the FASE spans can merge into it as named Perfetto
-    /// slices ([`SpanReport::add_fase_tracks`]).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run_spans`].
-    pub fn run_spans_traced(
-        self,
-        meta: &ProgramMeta,
-    ) -> (RunReport, TraceRecorder, ProfileReport, SpanReport) {
-        let (report, _, tracer, profile, spans) = self.run_span_instrumented(meta, true);
-        (report, tracer, profile, spans)
-    }
-
-    /// Like [`System::run_spans`], but also returns the final memory
-    /// image (the timing-neutrality differential tests check
-    /// persistent-state identity against an untraced run).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run_spans`].
-    pub fn run_spans_full(
-        self,
-        meta: &ProgramMeta,
-    ) -> (RunReport, MemoryImage, ProfileReport, SpanReport) {
-        let (report, image, _, profile, spans) = self.run_span_instrumented(meta, false);
-        (report, image, profile, spans)
-    }
-
-    fn run_span_instrumented(
-        mut self,
-        meta: &ProgramMeta,
-        trace: bool,
-    ) -> (
-        RunReport,
-        MemoryImage,
-        TraceRecorder,
-        ProfileReport,
-        SpanReport,
-    ) {
-        if self.spans.is_none() {
-            self = self.with_span_tracing(meta);
-        }
-        if trace && self.tracer.is_none() {
-            self.tracer = Some(TraceRecorder::new(self.cfg.cores));
-        }
-        self.run_loop();
-        let profiler = self
-            .profiler
-            .take()
-            .expect("span tracing implies profiling");
-        let tracer = self.tracer.take().unwrap_or_default();
-        let spans = self.spans.take().expect("span tracing enabled above");
-        let final_times: Vec<Cycle> = self.cores.iter().map(|c| c.time).collect();
-        let llc_dirty = self.hierarchy.llc_dirty_pm_lines();
-        let design = self.program.design();
-        let image = std::mem::take(&mut self.image);
-        let report = self.build_report();
-        let profile = profiler.finish(design, &final_times, report.total_time, llc_dirty);
-        let span_report = SpanReport::new(design, spans.finish());
-        (report, image, tracer, profile, span_report)
-    }
-
-    /// Runs to completion and returns the report together with the
-    /// recorded trace (empty unless [`System::with_trace`] was called).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_traced(mut self) -> (RunReport, TraceRecorder) {
-        self.run_loop();
-        let tracer = self.tracer.take().unwrap_or_default();
-        (self.build_report(), tracer)
-    }
-
-    /// Runs to completion recording every *crash-interesting* cycle: the
-    /// execution instant of each fence/CLWB/checkpoint/FASE marker (see
-    /// [`Op::is_crash_boundary`]) plus the arrival time of every persist
-    /// at the PM controller. The returned list is sorted and deduplicated.
-    ///
-    /// Crash-point samplers use this to weight crash cycles toward the
-    /// moments where the reachable persisted state changes shape, instead
-    /// of sampling blind over `[0, total_time]`.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`System::run`].
-    pub fn run_boundaries(mut self) -> (RunReport, Vec<Cycle>) {
-        if self.boundary_log.is_none() {
-            self.boundary_log = Some(Vec::new());
-        }
-        self.run_loop();
-        let mut log = self.boundary_log.take().unwrap_or_default();
-        log.sort_unstable();
-        log.dedup();
-        (self.build_report(), log)
     }
 }
 

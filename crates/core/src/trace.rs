@@ -3,8 +3,11 @@
 //! (load `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) and
 //! drop the file in).
 //!
-//! Tracing is opt-in ([`crate::System::with_trace`]); a disabled recorder
-//! costs one branch per instruction.
+//! The [`TraceRecorder`] is a [`Probe`]: pass it to
+//! [`crate::System::run_with`] and every executed instruction becomes a
+//! span on its core's lane, and every LLC writeback notice (`WB`) and
+//! misspeculation detection (`load-misspec`, `store-misspec`) an instant
+//! on the PM controller's lane. An unprobed run pays nothing.
 //!
 //! Lanes (`tid`s) are derived from the machine shape: cores occupy lanes
 //! `0..cores` and the PM controller the next lane, all named through
@@ -15,6 +18,9 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use pmemspec_engine::clock::Cycle;
+
+use crate::probe::{PmcEvent, Probe, Step};
+use crate::spec_buffer::Detection;
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,6 +205,23 @@ impl TraceRecorder {
     }
 }
 
+impl Probe for TraceRecorder {
+    fn step(&mut self, step: &Step) {
+        let end = step.end.max(step.start);
+        self.span(step.core, step.op.mnemonic(), step.start, end);
+    }
+
+    fn pmc_event(&mut self, at: Cycle, event: PmcEvent) {
+        let name = match event {
+            PmcEvent::WriteBack(_) => "WB",
+            PmcEvent::Misspec(Detection::LoadMisspec { .. }) => "load-misspec",
+            PmcEvent::Misspec(Detection::StoreMisspec { .. }) => "store-misspec",
+            PmcEvent::Persist(_) => return,
+        };
+        self.instant(name, at);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +305,26 @@ mod tests {
         assert!(json.contains(r#""ts":2.0000"#), "{json}");
         assert!(json.contains(r#""dur":1.0000"#), "{json}");
         assert!(json.contains(r#""tid":2"#));
+    }
+
+    #[test]
+    fn controller_events_become_pmc_instants() {
+        let line = pmemspec_isa::Addr::pm(0).line();
+        let mut t = TraceRecorder::new(1);
+        t.pmc_event(Cycle::from_raw(2), PmcEvent::WriteBack(line));
+        t.pmc_event(Cycle::from_raw(4), PmcEvent::Persist(line));
+        let at = Cycle::from_raw(6);
+        t.pmc_event(at, PmcEvent::Misspec(Detection::LoadMisspec { line, at }));
+        let store = Detection::StoreMisspec {
+            line,
+            at,
+            prev_id: 2,
+            new_id: 1,
+        };
+        t.pmc_event(at, PmcEvent::Misspec(store));
+        let names: Vec<&str> = t.events().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["WB", "load-misspec", "store-misspec"]);
+        assert!(t.events().iter().all(|e| e.core.is_none()), "PMC lane");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! designs.
 
 use pmem_spec::spec_buffer::DetectionMode;
-use pmem_spec::{run_program, RecoveryPolicy, System};
+use pmem_spec::{run_program, BuildSystemError, RecoveryPolicy, System};
 use pmemspec_engine::clock::Duration;
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::{lower_program, AbsProgram, AbsThread, Addr, DesignKind, LockId, ValueSrc};
@@ -247,6 +247,17 @@ fn thread_mismatch_is_rejected() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("1 threads"));
+}
+
+#[test]
+fn more_cores_than_the_scheduler_holds_is_a_config_error() {
+    let p = multithread_program(65, 1);
+    let err = System::new(
+        SimConfig::asplos21(65),
+        lower_program(DesignKind::PmemSpec, &p),
+    )
+    .unwrap_err();
+    assert!(matches!(err, BuildSystemError::Config(_)), "{err}");
 }
 
 #[test]

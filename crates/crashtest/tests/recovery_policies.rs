@@ -11,13 +11,18 @@
 //! persist-path latency — well past the ~10x threshold where the paper
 //! first observes misspeculation — so both runs genuinely abort and
 //! re-execute FASEs rather than trivially agreeing on a clean run.
+//!
+//! Under either policy, a crash must stop the very run the figures
+//! measure: `run_until` shares the run loop, so at every crash-boundary
+//! cycle its begun/durable FASE counts are a prefix of the full run's.
 
 use pmem_spec::spec_buffer::DetectionMode;
-use pmem_spec::{CrashOutcome, RecoveryPolicy, RunReport, System};
+use pmem_spec::{CrashOutcome, Probe, RecoveryPolicy, RunReport, Step, System};
 use pmemspec_engine::clock::{Cycle, Duration};
 use pmemspec_engine::SimConfig;
-use pmemspec_isa::{lower_program, DesignKind};
+use pmemspec_isa::{lower_program, DesignKind, Op, Program};
 use pmemspec_workloads::synthetic::load_misspec_inducer;
+use pmemspec_workloads::{Benchmark, WorkloadParams};
 
 const ITERATIONS: usize = 20;
 
@@ -95,4 +100,87 @@ fn eager_recovery_wastes_less_work_than_lazy() {
         eager_report.total_time,
         lazy_report.total_time
     );
+}
+
+/// The start instant of every `FaseBegin` and every committing
+/// `FaseEnd` of a run, per core.
+#[derive(Default)]
+struct FaseInstants {
+    begins: Vec<(usize, Cycle)>,
+    commits: Vec<(usize, Cycle)>,
+}
+
+impl Probe for FaseInstants {
+    fn step(&mut self, step: &Step) {
+        match step.op {
+            Op::FaseBegin { .. } => self.begins.push((step.core, step.start)),
+            Op::FaseEnd { .. } if !step.in_fase => self.commits.push((step.core, step.start)),
+            _ => {}
+        }
+    }
+}
+
+/// Per-core counts of `events` at or before `t`.
+fn counts_by(events: &[(usize, Cycle)], cores: usize, t: Cycle) -> Vec<u64> {
+    let mut counts = vec![0; cores];
+    for &(core, _) in events.iter().filter(|&&(_, at)| at <= t) {
+        counts[core] += 1;
+    }
+    counts
+}
+
+/// Crashing at any boundary cycle stops on a prefix of the full run:
+/// the FASEs `run_until` reports begun and durable are exactly those
+/// the uninterrupted run had begun and committed by then.
+fn assert_crashes_stop_on_a_prefix(cfg: &SimConfig, program: &Program, policy: RecoveryPolicy) {
+    let build = || {
+        System::with_options(
+            cfg.clone(),
+            program.clone(),
+            policy,
+            DetectionMode::EvictionBased,
+        )
+        .expect("valid system")
+    };
+    let mut instants = FaseInstants::default();
+    let (report, _) = build().run_with(&mut instants);
+    assert_eq!(
+        instants.commits.len() as u64,
+        report.fases_committed,
+        "{policy:?}"
+    );
+    let (_, boundaries) = build().run_boundaries();
+    assert!(!boundaries.is_empty(), "{policy:?}");
+    for t in boundaries {
+        let outcome = build().run_until(t);
+        assert_eq!(
+            outcome.started_fases,
+            counts_by(&instants.begins, cfg.cores, t),
+            "{policy:?}: FASEs begun by {t}"
+        );
+        assert_eq!(
+            outcome.durable_fases,
+            counts_by(&instants.commits, cfg.cores, t),
+            "{policy:?}: FASEs durable by {t}"
+        );
+    }
+}
+
+#[test]
+fn crashes_stop_on_a_prefix_of_the_full_run_under_both_policies() {
+    let cfg = config();
+    let inducer = lower_program(
+        DesignKind::PmemSpec,
+        &load_misspec_inducer(&cfg, ITERATIONS),
+    );
+    let two_core = SimConfig::asplos21(2);
+    let params = WorkloadParams::small(2).with_fases(6).with_seed(11);
+    let hashmap = lower_program(
+        DesignKind::PmemSpec,
+        &Benchmark::Hashmap.generate(&params).program,
+    );
+    for policy in [RecoveryPolicy::Lazy, RecoveryPolicy::Eager] {
+        assert_crashes_stop_on_a_prefix(&cfg, &inducer, policy);
+        assert_crashes_stop_on_a_prefix(&two_core, &hashmap, policy);
+    }
 }

@@ -16,6 +16,10 @@
 
 use crate::clock::Duration;
 
+/// The most cores a machine can have (the scheduler keeps one bit per
+/// core in a `u64`).
+pub const MAX_CORES: usize = 64;
+
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -34,19 +38,31 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or is not a power of
-    /// two (the index function requires power-of-two sets).
+    /// Panics if [`CacheConfig::geometry`] rejects the geometry.
     pub fn sets(&self) -> usize {
+        self.geometry().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The set count, or why the geometry cannot be built: the size must
+    /// divide into whole lines, the lines into ways, and the set count
+    /// must be a power of two (the index function requires it).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency.
+    pub fn geometry(&self) -> Result<usize, &'static str> {
+        if self.line_bytes == 0 || !self.size_bytes.is_multiple_of(self.line_bytes) {
+            return Err("cache size must be a multiple of the line size");
+        }
         let lines = self.size_bytes / self.line_bytes;
-        assert_eq!(
-            lines * self.line_bytes,
-            self.size_bytes,
-            "cache size must be a multiple of the line size"
-        );
+        if self.ways == 0 || !lines.is_multiple_of(self.ways) {
+            return Err("cache lines must divide into ways");
+        }
         let sets = lines / self.ways;
-        assert_eq!(sets * self.ways, lines, "cache lines must divide into ways");
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        Ok(sets)
     }
 }
 
@@ -204,6 +220,12 @@ impl SimConfig {
         if self.cores == 0 {
             return Err("core count must be positive".into());
         }
+        if self.cores > MAX_CORES {
+            return Err(format!(
+                "{} cores exceed the simulator's {MAX_CORES}",
+                self.cores
+            ));
+        }
         if self.store_queue == 0 {
             return Err("store queue must have at least one entry".into());
         }
@@ -225,14 +247,8 @@ impl SimConfig {
         if self.pm.controllers == 0 {
             return Err("need at least one PM controller".into());
         }
-        // sets() panics on bad geometry; surface it as an error instead.
-        let geometry_ok = std::panic::catch_unwind(|| {
-            self.l1.sets();
-            self.llc.sets();
-        });
-        if geometry_ok.is_err() {
-            return Err("cache geometry is inconsistent".into());
-        }
+        self.l1.geometry().map_err(|e| format!("L1: {e}"))?;
+        self.llc.geometry().map_err(|e| format!("LLC: {e}"))?;
         Ok(())
     }
 
@@ -320,6 +336,14 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = SimConfig::asplos21(8);
         cfg.llc.line_bytes = 128;
+        assert!(cfg.validate().is_err());
+        assert!(SimConfig::asplos21(64).validate().is_ok());
+        assert!(SimConfig::asplos21(65).validate().is_err());
+        let mut cfg = SimConfig::asplos21(8);
+        cfg.l1.ways = 3;
+        assert!(cfg.validate().is_err());
+        let mut cfg = SimConfig::asplos21(8);
+        cfg.llc.ways = 0;
         assert!(cfg.validate().is_err());
     }
 

@@ -184,6 +184,30 @@ impl Op {
         )
     }
 
+    /// The assembly mnemonic ("ld", "spec-barrier", "fase-end", ...).
+    pub fn mnemonic(&self) -> &'static str {
+        match self {
+            Op::Load { .. } => "ld",
+            Op::Store { .. } => "st",
+            Op::Clwb { .. } => "clwb",
+            Op::Sfence => "sfence",
+            Op::Ofence => "ofence",
+            Op::Dfence => "dfence",
+            Op::SpecBarrier => "spec-barrier",
+            Op::NewStrand => "new-strand",
+            Op::JoinStrand => "join-strand",
+            Op::StrandBarrier => "persist-barrier",
+            Op::SpecAssign => "spec-assign",
+            Op::SpecRevoke => "spec-revoke",
+            Op::Compute { .. } => "compute",
+            Op::Lock { .. } => "lock",
+            Op::Unlock { .. } => "unlock",
+            Op::Checkpoint => "checkpoint",
+            Op::FaseBegin { .. } => "fase-begin",
+            Op::FaseEnd { .. } => "fase-end",
+        }
+    }
+
     /// True for ops whose execution instant is an interesting crash
     /// boundary: every ordering point, plus cache-line write-backs,
     /// checkpoints, and FASE begin/end markers. The crash-consistency
@@ -218,25 +242,14 @@ impl Op {
 
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.mnemonic())?;
         match self {
-            Op::Load { addr } => write!(f, "ld {addr}"),
-            Op::Store { addr, value } => write!(f, "st {addr} <- {value:?}"),
-            Op::Clwb { addr } => write!(f, "clwb {addr}"),
-            Op::Sfence => write!(f, "sfence"),
-            Op::Ofence => write!(f, "ofence"),
-            Op::Dfence => write!(f, "dfence"),
-            Op::SpecBarrier => write!(f, "spec-barrier"),
-            Op::NewStrand => write!(f, "new-strand"),
-            Op::JoinStrand => write!(f, "join-strand"),
-            Op::StrandBarrier => write!(f, "persist-barrier"),
-            Op::SpecAssign => write!(f, "spec-assign"),
-            Op::SpecRevoke => write!(f, "spec-revoke"),
-            Op::Compute { cycles } => write!(f, "compute {cycles}"),
-            Op::Lock { lock } => write!(f, "lock {lock}"),
-            Op::Unlock { lock } => write!(f, "unlock {lock}"),
-            Op::Checkpoint => write!(f, "checkpoint"),
-            Op::FaseBegin { fase } => write!(f, "fase-begin {fase}"),
-            Op::FaseEnd { fase } => write!(f, "fase-end {fase}"),
+            Op::Load { addr } | Op::Clwb { addr } => write!(f, " {addr}"),
+            Op::Store { addr, value } => write!(f, " {addr} <- {value:?}"),
+            Op::Compute { cycles } => write!(f, " {cycles}"),
+            Op::Lock { lock } | Op::Unlock { lock } => write!(f, " {lock}"),
+            Op::FaseBegin { fase } | Op::FaseEnd { fase } => write!(f, " {fase}"),
+            _ => Ok(()),
         }
     }
 }

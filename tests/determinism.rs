@@ -1,7 +1,7 @@
 //! Determinism contract: identical configuration + seed gives bit-identical
 //! simulation outcomes, end to end.
 
-use pmem_spec_repro::core::System;
+use pmem_spec_repro::core::{System, TraceRecorder};
 use pmem_spec_repro::prelude::*;
 
 #[test]
@@ -85,9 +85,9 @@ fn traces_are_deterministic_too() {
             SimConfig::asplos21(2),
             lower_program(DesignKind::PmemSpec, &g.program),
         )
-        .unwrap()
-        .with_trace();
-        let (_, trace) = sys.run_traced();
+        .unwrap();
+        let mut trace = TraceRecorder::new(2);
+        sys.run_with(&mut trace);
         jsons.push(trace.to_chrome_trace());
     }
     assert_eq!(jsons[0], jsons[1]);
