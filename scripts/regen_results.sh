@@ -9,9 +9,10 @@
 #   PMEMSPEC_SMOKE=1   reduced grid (2 cores, 1 seed, 25 FASEs) — fast
 #                      sanity pass, NOT the checked-in numbers
 #
-# Wall time: ~4 minutes serially on one core (fig10 dominates); a
-# multi-core machine divides that by roughly its core count. Pass
-# --serial to reproduce the single-threaded run exactly.
+# Wall time on a 2-core host: ~46 s (fig10 ~33 s of it, every other
+# binary under 5 s); ~88 s with --serial (fig10 ~63 s). More cores
+# divide it further. Pass --serial to reproduce the single-threaded run
+# exactly.
 #
 # Every step prints its own wall time so suite-cost regressions show up
 # in CI logs per binary instead of hiding inside one opaque total.
@@ -45,7 +46,7 @@ start=$(now_ms)
 took "lint (static persistency verifier)" "$start"
 start=$(now_ms)
 ./target/release/fig10 --json "$@" > results/fig10.md
-took "fig10 (16/32/64 cores, the slow one)" "$start"
+took "fig10 (16/32/64 cores)" "$start"
 if command -v python3 >/dev/null; then
     python3 scripts/render_figures.py
 fi

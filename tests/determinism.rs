@@ -75,6 +75,38 @@ fn event_wheel_matches_reference_scheduler_on_smoke_grid() {
     }
 }
 
+/// The smoke-grid check above runs at 2 cores, where only a few hundred
+/// events (Vacation and Memcached, never PMEM-Spec) go past the wheel's
+/// ring. At 16 cores PMEM-Spec's ArraySwaps saturates the PM
+/// controller's write port and sends ~17K events through the wheel's
+/// overflow heap, so this point checks overflow and migration on a whole
+/// program. (Its overflow events never share a time with a ring event;
+/// the unit tests in `engine::wheel` pin that case down.)
+#[test]
+fn event_wheel_matches_reference_scheduler_through_overflow() {
+    let params = WorkloadParams::small(16).with_fases(8).with_seed(11);
+    let g = Benchmark::ArraySwaps.generate(&params);
+    let program = lower_program(DesignKind::PmemSpec, &g.program);
+    let cfg = SimConfig::asplos21(16);
+    let (wheel_report, wheel_image) = System::new(cfg.clone(), program.clone())
+        .unwrap()
+        .run_full();
+    let (heap_report, heap_image) = System::new(cfg, program)
+        .unwrap()
+        .with_reference_scheduler()
+        .run_full();
+    assert_eq!(
+        format!("{wheel_report:?}"),
+        format!("{heap_report:?}"),
+        "reports diverged between schedulers"
+    );
+    assert_eq!(
+        wheel_image.persistent_snapshot(),
+        heap_image.persistent_snapshot(),
+        "persistent images diverged"
+    );
+}
+
 #[test]
 fn traces_are_deterministic_too() {
     let mut jsons = Vec::new();
