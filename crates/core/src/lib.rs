@@ -11,16 +11,18 @@
 //! * [`spec_buffer`] — the speculation buffer with the misspeculation
 //!   detection automata (Figure 5/8), both the final eviction-based
 //!   detector and the rejected fetch-based strawman;
-//! * [`persist_buffer`] — the epoch-ordered persist buffers of HOPS and
-//!   DPO;
-//! * [`strand_buffer`] — StrandWeaver's strand buffer (an extension: the
-//!   paper compares against StrandWeaver in §9 but does not simulate it);
+//! * [`persist_buffer`] — the per-core persist buffer of HOPS and DPO
+//!   (epoch-ordered) and of StrandWeaver (strands of epochs; an
+//!   extension: the paper compares against StrandWeaver in §9 but does
+//!   not simulate it);
 //! * [`bloom`] — HOPS' counting bloom filter at the PM controller;
 //! * [`system`] — the simulated machine executing lowered programs under
 //!   IntelX86-Epoch, DPO, HOPS, StrandWeaver, or PMEM-Spec semantics,
 //!   including misspeculation detection, virtual-power-failure recovery
 //!   (lazy/eager, with §6.3 checkpoint scoping), power-failure simulation
-//!   (`run_until`), and the §7 multi-controller extension;
+//!   (`run_until`), and the §7 multi-controller extension; every
+//!   per-design persist decision it makes is delegated to the crate's
+//!   private `machinery` module;
 //! * [`probe`] — the run loop's observer interface ([`Probe`]), which
 //!   the tracer, profiler, span tracer, and crash-boundary log implement;
 //! * [`trace`] — Chrome/Perfetto trace export of simulated timelines;
@@ -59,13 +61,13 @@
 #![forbid(unsafe_code)]
 
 pub mod bloom;
+mod machinery;
 pub mod persist_buffer;
 pub mod probe;
 pub mod profile;
 pub mod report;
 pub mod span;
 pub mod spec_buffer;
-pub mod strand_buffer;
 pub mod system;
 pub mod trace;
 

@@ -13,27 +13,9 @@
 //! automata and applying persists to the persistent image in arrival
 //! order — exactly the vantage point the paper's detection hardware has.
 //!
-//! # Per-design semantics (§8.1)
-//!
-//! * **IntelX86** — stores drain through the store queue into the caches;
-//!   `CLWB` occupies a store-queue entry until its line reaches the ADR
-//!   domain; `SFENCE` stalls until the store queue drains; dirty PM lines
-//!   evicted from the LLC write back to the PM device.
-//! * **DPO** — per-core persist buffers with *globally serialized* flushes;
-//!   `SFENCE` is absorbed (epoch boundary, no stall) but lock/unlock act
-//!   as persist barriers (DPO orders persists on every barrier the program
-//!   executes, §8.2.2); `CLWB` is absorbed; dirty LLC evictions drop.
-//! * **HOPS** — per-core persist buffers with pipelined drains; `ofence`
-//!   opens an epoch without stalling; `dfence` stalls until drained; every
-//!   PM fetch pays a bloom-filter lookup and is delayed on a (possibly
-//!   false-positive) hit; +1 bus cycle for the sticky-M bit; dirty LLC
-//!   evictions drop.
-//! * **PMEM-Spec** — stores go to the caches *and* the per-core persist
-//!   path simultaneously; no ordering instructions at all; `spec-barrier`
-//!   waits for the path to drain into the ADR domain; dirty LLC evictions
-//!   drop with an address-only `WriteBack` notification to the speculation
-//!   buffer; detected misspeculation is treated as a virtual power failure
-//!   and delegated to the failure-atomic runtime (§6).
+//! Every decision that depends on the persistency design — how a store
+//! persists, what a fence drains, where an evicted line goes, what the
+//! PM controller watches — lives in the `machinery` module.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -42,24 +24,21 @@ use std::sync::Arc;
 
 use pmemspec_engine::arena::ArenaFifo;
 use pmemspec_engine::clock::{Cycle, Duration};
-use pmemspec_engine::config::{PmcNetworkOrder, SimConfig};
+use pmemspec_engine::config::SimConfig;
 use pmemspec_engine::hash::FxHashMap;
 use pmemspec_engine::pagemap::PageMap;
 use pmemspec_engine::stats::Stats;
 use pmemspec_engine::wheel::EventWheel;
 use pmemspec_isa::addr::{Addr, LineAddr, LINE_BYTES, PM_BASE, WORD_BYTES};
-use pmemspec_isa::{DesignKind, LockId, Op, Program, ValueSrc};
+use pmemspec_isa::{LockId, Op, Program, ValueSrc};
 use pmemspec_mem::hierarchy::{AccessKind, CacheHierarchy, ServedFrom};
-use pmemspec_mem::pmc::controller_for;
-use pmemspec_mem::{Dram, MemoryImage, PersistPath, PmController};
+use pmemspec_mem::{Dram, MemoryImage, PmController};
 
-use crate::bloom::CountingBloom;
-use crate::persist_buffer::EpochPersistBuffer;
+use crate::machinery::{self, Machinery, PmStore};
 use crate::probe::{BoundaryLog, PmcEvent, Probe, Step};
 use crate::profile::{Bucket, ProfileReport, Profiler};
 use crate::report::RunReport;
-use crate::spec_buffer::{Detection, DetectionMode, SpecBuffer};
-use crate::strand_buffer::StrandBuffer;
+use crate::spec_buffer::{Detection, DetectionMode, OverflowStall};
 
 /// One hot-path run counter. Incrementing a counter is a single array
 /// add on a dense `[u64; Counter::COUNT]` indexed by discriminant; the
@@ -68,7 +47,7 @@ use crate::strand_buffer::StrandBuffer;
 /// preserved because a key appears iff its counter was ever bumped.
 #[derive(Debug, Clone, Copy)]
 #[repr(usize)]
-enum Counter {
+pub(crate) enum Counter {
     MisspecLoadDetected,
     MisspecStoreDetected,
     SpecBufferOverflow,
@@ -96,9 +75,6 @@ enum Counter {
     HopsBloomLookups,
     HopsBloomConflicts,
     HopsBloomFalsePositives,
-    DpoBufferFullStalls,
-    HopsBufferFullStalls,
-    StrandBufferFullStalls,
     PmcClwbWritebacks,
     X86Sfences,
     DpoBarrierDrains,
@@ -146,9 +122,6 @@ impl Counter {
         "hops.bloom_lookups",
         "hops.bloom_conflicts",
         "hops.bloom_false_positives",
-        "dpo.buffer_full_stalls",
-        "hops.buffer_full_stalls",
-        "strand.buffer_full_stalls",
         "pmc.clwb_writebacks",
         "x86.sfences",
         "dpo.barrier_drains",
@@ -165,13 +138,16 @@ impl Counter {
     ];
 }
 
+/// The dense hot-path counters, indexed by [`Counter`].
+pub(crate) type Counters = [u64; Counter::COUNT];
+
 /// Bumps one dense counter.
 ///
 /// A free function over the counter array (not a `System` method) so
-/// call sites inside `match &mut self.machinery` arms borrow only this
-/// one field.
+/// callers that hold other fields of `System` — the machinery among
+/// them — borrow only this one.
 #[inline]
-fn bump(counters: &mut [u64; Counter::COUNT], c: Counter) {
+pub(crate) fn bump(counters: &mut Counters, c: Counter) {
     counters[c as usize] += 1;
 }
 
@@ -180,7 +156,7 @@ const WORDS_PER_LINE: usize = (LINE_BYTES / WORD_BYTES) as usize;
 
 /// Dense index of a PM line for the ground-truth [`PageMap`] tables.
 #[inline]
-fn pm_line_index(line: LineAddr) -> u64 {
+pub(crate) fn pm_line_index(line: LineAddr) -> u64 {
     debug_assert!(
         line.raw() >= PM_BASE / LINE_BYTES,
         "ground-truth tables index PM lines only"
@@ -190,7 +166,7 @@ fn pm_line_index(line: LineAddr) -> u64 {
 
 /// Per-PM-line ground truth, one record per [`pm_line_index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LineMeta {
+pub(crate) struct LineMeta {
     /// Core of the last applied persist (`u32::MAX` = none yet), for the
     /// WHISPER-style inter-thread dependency census (§8.4 cites "almost
     /// zero inter-thread dependencies in a 50 micro-second window").
@@ -198,17 +174,17 @@ struct LineMeta {
     /// Device time of that last persist.
     last_at: Cycle,
     /// Persists still in flight to the device.
-    pending: u32,
+    pub(crate) pending: u32,
     /// True while the line's dirty data was dropped on LLC eviction with
     /// persists still in flight — fetching it from PM returns truly
     /// stale data (the Figure 3 hazard). Write-allocate fetches of lines
     /// still covered by the caches are benign (Figure 4/6b), so they are
-    /// never flagged here.
-    dropped: bool,
+    /// never flagged here. Only PMEM-Spec's eviction routing sets it.
+    pub(crate) dropped: bool,
     /// HOPS only — ground truth behind the bloom filter: pending persist
     /// count (zero = no entry) and the latest acceptance time.
-    hops_pending: u32,
-    hops_accept: Cycle,
+    pub(crate) hops_pending: u32,
+    pub(crate) hops_accept: Cycle,
     /// Commit stamp of the last persist applied to each of the line's
     /// eight words (`Cycle::MAX` = never persisted); out-of-order
     /// arrival to one word is a missed update. Kept inside the line
@@ -230,27 +206,6 @@ const EMPTY_LINE_META: LineMeta = LineMeta {
 
 /// DRAM offset where lock cache lines are allocated.
 const LOCK_REGION_BASE: u64 = 1 << 30;
-
-/// Cost of the bloom-filter lookup HOPS pays on every PM read (§8.2.2).
-const HOPS_BLOOM_LOOKUP: Duration = Duration::from_ns(2);
-
-/// Delay charged when the HOPS bloom filter reports a false positive and
-/// the read must be retried after the (non-existent) conflict "drains".
-const HOPS_FALSE_POSITIVE_PENALTY: Duration = Duration::from_ns(20);
-
-/// Capacity of HOPS'/DPO's per-core persist buffers.
-const PERSIST_BUFFER_ENTRIES: usize = 32;
-
-/// Capacity of StrandWeaver's per-core strand buffers (larger than the
-/// epoch buffers — StrandWeaver spends more hardware, §9).
-const STRAND_BUFFER_ENTRIES: usize = 64;
-
-/// DPO's single-flush-at-a-time quantum: the shared bus carries one flush
-/// to the PM controller per slot, system-wide (§8.2.2).
-const DPO_FLUSH_SLOT: Duration = Duration::from_ns(1);
-
-/// Slots in HOPS' PM-controller bloom filter.
-const HOPS_BLOOM_SLOTS: usize = 1024;
 
 /// Safety valve: a FASE aborted more than this many times in a row
 /// indicates a livelock in the recovery protocol.
@@ -363,9 +318,6 @@ struct CoreState {
     /// Commit time of the most recent store: the store queue drains in
     /// FIFO order (TSO), so store commits are monotone per core.
     last_store_commit: Cycle,
-    /// Dispatch time of the most recent persist-path entry (PMEM-Spec);
-    /// kept monotone so the FIFO path sees in-order traffic.
-    last_persist_dispatch: Cycle,
     committed: u64,
     aborted: u64,
     aborts_this_fase: u32,
@@ -395,7 +347,6 @@ impl CoreState {
             spec_tag: None,
             held_locks: Vec::new(),
             last_store_commit: Cycle::ZERO,
-            last_persist_dispatch: Cycle::ZERO,
             committed: 0,
             aborted: 0,
             aborts_this_fase: 0,
@@ -424,7 +375,7 @@ struct LockState {
 /// copied through the wheel slab — a word smaller than an
 /// `Option<u64>` field would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SpecTag(u64);
+pub(crate) struct SpecTag(u64);
 
 impl SpecTag {
     /// No speculation tag.
@@ -447,7 +398,7 @@ impl SpecTag {
 
 /// What the PM controller observes, time-ordered.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum PmcEventKind {
+pub(crate) enum PmcEventKind {
     /// Address-only LLC dirty-eviction notification (PMEM-Spec).
     WriteBack { line: LineAddr },
     /// A PM fetch arriving from the regular path.
@@ -546,34 +497,6 @@ impl EventQueue {
     }
 }
 
-#[derive(Debug)]
-enum Machinery {
-    IntelX86,
-    Dpo {
-        buffers: Vec<EpochPersistBuffer>,
-        /// DPO's single-flush-at-a-time token (§8.2.2).
-        token: Cycle,
-    },
-    Hops {
-        buffers: Vec<EpochPersistBuffer>,
-        bloom: CountingBloom,
-        // The ground truth behind the bloom filter lives in the
-        // [`System::line_meta`] records (`hops_pending`/`hops_accept`).
-    },
-    PmemSpec {
-        /// Per core, one FIFO route (order-preserving network) or one per
-        /// controller (unordered network, the §7 hazard).
-        paths: Vec<Vec<PersistPath>>,
-        /// One speculation buffer per PM controller.
-        spec: Vec<SpecBuffer>,
-        /// The global speculation-ID counter read by `spec-assign`.
-        counter: u64,
-    },
-    StrandWeaver {
-        buffers: Vec<StrandBuffer>,
-    },
-}
-
 /// The machine state surviving a simulated power failure.
 #[derive(Debug, Clone)]
 pub struct CrashOutcome {
@@ -669,83 +592,11 @@ impl System {
                 cores: cfg.cores,
             });
         }
+        let machinery = machinery::for_design(program.design(), &cfg, detection);
         let mut hierarchy = CacheHierarchy::new(&cfg);
-        let machinery = match program.design() {
-            DesignKind::IntelX86 => Machinery::IntelX86,
-            DesignKind::Dpo => Machinery::Dpo {
-                buffers: (0..cfg.cores)
-                    .map(|_| {
-                        EpochPersistBuffer::new(
-                            PERSIST_BUFFER_ENTRIES,
-                            cfg.persist_path_latency,
-                            cfg.persist_path_gap,
-                        )
-                        .with_serial_slot(DPO_FLUSH_SLOT)
-                    })
-                    .collect(),
-                token: Cycle::ZERO,
-            },
-            DesignKind::Hops => {
-                // The sticky-M bit costs one extra cycle on every
-                // L1↔LLC transfer (§8.2.2).
-                hierarchy = hierarchy.with_bus_penalty(Duration::from_cycles(1));
-                Machinery::Hops {
-                    buffers: (0..cfg.cores)
-                        .map(|_| {
-                            EpochPersistBuffer::new(
-                                PERSIST_BUFFER_ENTRIES,
-                                cfg.persist_path_latency,
-                                cfg.persist_path_gap,
-                            )
-                        })
-                        .collect(),
-                    bloom: CountingBloom::new(HOPS_BLOOM_SLOTS),
-                }
-            }
-            DesignKind::StrandWeaver => {
-                // StrandWeaver also modifies the caches (delayed exclusive
-                // responses for buffered lines): one extra bus cycle.
-                hierarchy = hierarchy.with_bus_penalty(Duration::from_cycles(1));
-                Machinery::StrandWeaver {
-                    buffers: (0..cfg.cores)
-                        .map(|_| {
-                            StrandBuffer::new(
-                                STRAND_BUFFER_ENTRIES,
-                                cfg.persist_path_latency,
-                                cfg.persist_path_gap,
-                            )
-                        })
-                        .collect(),
-                }
-            }
-            DesignKind::PmemSpec => {
-                let routes = match cfg.pmc_network {
-                    PmcNetworkOrder::Fifo => 1,
-                    PmcNetworkOrder::Unordered => cfg.pm.controllers,
-                };
-                Machinery::PmemSpec {
-                    paths: (0..cfg.cores)
-                        .map(|_| {
-                            (0..routes)
-                                .map(|_| {
-                                    PersistPath::new(cfg.persist_path_latency, cfg.persist_path_gap)
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                    spec: (0..cfg.pm.controllers)
-                        .map(|_| {
-                            SpecBuffer::new(
-                                cfg.pm.spec_buffer_entries,
-                                cfg.speculation_window(),
-                                detection,
-                            )
-                        })
-                        .collect(),
-                    counter: 0,
-                }
-            }
-        };
+        if let Some(penalty) = machinery.bus_penalty() {
+            hierarchy = hierarchy.with_bus_penalty(penalty);
+        }
         let cores = (0..cfg.cores)
             .map(|_| CoreState::new(cfg.store_queue))
             .collect();
@@ -800,6 +651,32 @@ impl System {
     fn push_event(&mut self, time: Cycle, kind: PmcEventKind) {
         self.events.push(time, kind);
         self.events_next = self.events_next.min(time);
+    }
+
+    /// Queues the arrival of `core`'s persist of `value` to `addr` at the
+    /// PM controller, durable at `accepted`; `commit` is its order stamp
+    /// and `spec` its speculation ID. The line has one more persist in
+    /// flight until then.
+    fn push_persist_word(
+        &mut self,
+        accepted: Cycle,
+        addr: Addr,
+        value: u64,
+        commit: Cycle,
+        spec: Option<u64>,
+        core: usize,
+    ) {
+        self.line_meta.get_mut(pm_line_index(addr.line())).pending += 1;
+        self.push_event(
+            accepted,
+            PmcEventKind::PersistWord {
+                addr,
+                value,
+                commit,
+                spec: SpecTag::new(spec),
+                core: core as u32,
+            },
+        );
     }
 
     /// The runnable core with the earliest local time (the lowest index
@@ -865,7 +742,7 @@ impl System {
         }
     }
 
-    fn note_overflow(&mut self, stall: Option<crate::spec_buffer::OverflowStall>) {
+    fn note_overflow(&mut self, stall: Option<OverflowStall>) {
         if let Some(s) = stall {
             self.stall_until = self.stall_until.max(s.until);
             bump(&mut self.counters, Counter::SpecBufferOverflow);
@@ -893,23 +770,18 @@ impl System {
                 PmcEventKind::WriteBack { line } => {
                     probe.pmc_event(time, PmcEvent::WriteBack(line));
                     bump(&mut self.counters, Counter::PmcWritebackNotices);
-                    let n = self.pmcs.len();
-                    if let Machinery::PmemSpec { spec, .. } = &mut self.machinery {
-                        let stall = spec[controller_for(line.raw(), n)].on_writeback(line, time);
-                        self.note_overflow(stall);
-                    }
+                    let stall = self.machinery.on_writeback(line, time);
+                    self.note_overflow(stall);
                 }
                 PmcEventKind::Read { line } => {
                     let meta = self.line_meta.get(pm_line_index(line));
-                    if matches!(self.machinery, Machinery::PmemSpec { .. }) {
-                        // Ground truth: the fetch returns truly stale data
-                        // only when the line's dirty copy was dropped on
-                        // eviction and its persist has not landed yet
-                        // (Figure 3).
-                        if meta.dropped && line.words().any(|w| self.image.is_stale(w)) {
-                            self.stale_reads += 1;
-                            bump(&mut self.counters, Counter::GroundTruthStaleReads);
-                        }
+                    // Ground truth: the fetch returns truly stale data
+                    // only when the line's dirty copy was dropped on
+                    // eviction and its persist has not landed yet
+                    // (Figure 3).
+                    if meta.dropped && line.words().any(|w| self.image.is_stale(w)) {
+                        self.stale_reads += 1;
+                        bump(&mut self.counters, Counter::GroundTruthStaleReads);
                     }
                     // Inter-thread RAW census: a PM fetch of a line another
                     // core persisted recently.
@@ -922,11 +794,8 @@ impl System {
                             bump(&mut self.counters, Counter::WhisperRawWithin50us);
                         }
                     }
-                    let n = self.pmcs.len();
-                    if let Machinery::PmemSpec { spec, .. } = &mut self.machinery {
-                        let stall = spec[controller_for(line.raw(), n)].on_read(line, time);
-                        self.note_overflow(stall);
-                    }
+                    let stall = self.machinery.on_read(line, time);
+                    self.note_overflow(stall);
                 }
                 PmcEventKind::PersistWord {
                     addr,
@@ -982,24 +851,11 @@ impl System {
                             meta.dropped = false;
                         }
                     }
-                    let hops_drain = meta.hops_pending > 0;
-                    if hops_drain {
-                        meta.hops_pending -= 1;
-                    }
                     self.image.persist_word(addr, value);
-                    let n = self.pmcs.len();
-                    match &mut self.machinery {
-                        Machinery::PmemSpec { spec, .. } => {
-                            let (detections, stall) = spec[controller_for(line.raw(), n)]
-                                .on_persist(line, spec_tag.get(), time);
-                            self.note_overflow(stall);
-                            self.handle_detections(detections, probe);
-                        }
-                        Machinery::Hops { bloom, .. } if hops_drain => {
-                            bloom.remove(line.raw());
-                        }
-                        _ => {}
-                    }
+                    let (detections, stall) =
+                        self.machinery.on_persist(line, spec_tag.get(), time, meta);
+                    self.note_overflow(stall);
+                    self.handle_detections(detections, probe);
                 }
                 PmcEventKind::PersistLine { line } => {
                     probe.pmc_event(time, PmcEvent::Persist(line));
@@ -1021,41 +877,15 @@ impl System {
     }
 
     fn handle_eviction(&mut self, ev: pmemspec_mem::EvictedLine) {
-        {
-            let arrival = ev.at + self.cfg.llc_to_pmc_latency;
-            match self.machinery {
-                Machinery::IntelX86 => {
-                    // Normal write-back memory: the eviction updates PM.
-                    let ci = controller_for(ev.line.raw(), self.pmcs.len());
-                    let svc = self.pmcs[ci].write(arrival);
-                    self.push_event(svc.accepted, PmcEventKind::PersistLine { line: ev.line });
-                    bump(&mut self.counters, Counter::PmcEvictionWritebacks);
-                }
-                Machinery::Dpo { .. } | Machinery::Hops { .. } => {
-                    // Persist buffers own persistence; the eviction drops.
-                    bump(&mut self.counters, Counter::PmcEvictionsDropped);
-                }
-                Machinery::StrandWeaver { .. } => {
-                    // StrandWeaver writes dirty blocks back before letting
-                    // them leave (Figure 1c), so PM never goes stale.
-                    let ci = controller_for(ev.line.raw(), self.pmcs.len());
-                    let svc = self.pmcs[ci].write(arrival);
-                    self.push_event(svc.accepted, PmcEventKind::PersistLine { line: ev.line });
-                    bump(&mut self.counters, Counter::PmcEvictionWritebacks);
-                }
-                Machinery::PmemSpec { .. } => {
-                    // Dropped, but the controller is notified so the
-                    // speculation buffer can start monitoring (§5.1.4).
-                    self.push_event(arrival, PmcEventKind::WriteBack { line: ev.line });
-                    bump(&mut self.counters, Counter::PmcEvictionsDropped);
-                    // Ground truth: dropped dirty data whose persist is
-                    // still in flight makes a PM fetch of this line stale.
-                    let meta = self.line_meta.get_mut(pm_line_index(ev.line));
-                    if meta.pending > 0 {
-                        meta.dropped = true;
-                    }
-                }
-            }
+        let arrival = ev.at + self.cfg.llc_to_pmc_latency;
+        if let Some((time, kind)) = self.machinery.route_eviction(
+            ev.line,
+            arrival,
+            &mut self.pmcs,
+            &mut self.line_meta,
+            &mut self.counters,
+        ) {
+            self.push_event(time, kind);
         }
     }
 
@@ -1148,39 +978,15 @@ impl System {
             None => self.cores[idx].shadow.drain(..).collect(),
         };
         // Undo in reverse order; each restored word also persists (the
-        // recovery protocol writes PM). Restoration writes travel the same
-        // persistence mechanism as ordinary stores — under PMEM-Spec that
-        // is the core's FIFO persist path, so they cannot overtake or be
-        // overtaken by the aborted attempt's still-in-flight persists.
+        // recovery protocol writes PM).
         let mut t = t0 + self.cfg.trap_latency;
         for &(addr, old) in shadow.iter().rev() {
             self.image.store_volatile(addr, old);
             t += self.cfg.pm.write_gap;
-            let line = addr.line();
-            let ci = controller_for(line.raw(), self.pmcs.len());
-            let delivery = match &mut self.machinery {
-                Machinery::PmemSpec { paths, .. } => {
-                    let route = ci % paths[idx].len();
-                    paths[idx][route].send(t)
-                }
-                _ => t + self.cfg.persist_path_latency,
-            };
-            let svc = self.pmcs[ci].write_word(delivery, line.raw());
-            if let Machinery::PmemSpec { paths, .. } = &mut self.machinery {
-                let route = ci % paths[idx].len();
-                paths[idx][route].note_backpressure(svc.accepted);
-            }
-            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-            self.push_event(
-                svc.accepted,
-                PmcEventKind::PersistWord {
-                    addr,
-                    value: old,
-                    commit: t,
-                    spec: SpecTag::NONE,
-                    core: idx as u32,
-                },
-            );
+            let accepted = self
+                .machinery
+                .persist_restoration(idx, addr.line(), t, &mut self.pmcs);
+            self.push_persist_word(accepted, addr, old, t, None, idx);
         }
         // Release anything held beyond the resume point (eager recovery
         // can abort mid critical section).
@@ -1214,17 +1020,10 @@ impl System {
         // window) before re-executing, so the retry observes a settled
         // device — the §6.1.2 whole-restart fallback, scoped to one FASE.
         if self.cores[idx].aborts_this_fase >= QUIESCE_AFTER_ABORTS {
-            if let Machinery::PmemSpec { paths, .. } = &self.machinery {
-                let drained = paths[idx]
-                    .iter()
-                    .map(|p| p.drained_at(t))
-                    .max()
-                    .unwrap_or(t)
-                    + self.cfg.speculation_window();
-                self.cores[idx].time = drained;
-                self.cores[idx].nonspec_retry = true;
-                bump(&mut self.counters, Counter::FaseQuiescedRetries);
-            }
+            let drained = self.machinery.drained_at(idx, t) + self.cfg.speculation_window();
+            self.cores[idx].time = drained;
+            self.cores[idx].nonspec_retry = true;
+            bump(&mut self.counters, Counter::FaseQuiescedRetries);
         }
         // Everything the abort consumed — trap, undo-log restoration
         // writes, post-abort quiesce — is recovery overhead.
@@ -1287,28 +1086,14 @@ impl System {
                 let mut completed = out.completed;
                 if let Some(fetch) = out.pm_fetch {
                     bump(&mut self.counters, Counter::PmcFetches);
-                    match &mut self.machinery {
-                        Machinery::Hops { bloom, .. } => {
-                            // Every PM read consults the filter (§8.2.2).
-                            completed += HOPS_BLOOM_LOOKUP;
-                            bump(&mut self.counters, Counter::HopsBloomLookups);
-                            if bloom.might_contain(line.raw()) {
-                                let meta = self.line_meta.get(pm_line_index(line));
-                                if meta.hops_pending > 0 {
-                                    // Real conflict: wait for the pending
-                                    // persist to drain.
-                                    completed = completed.max(meta.hops_accept + HOPS_BLOOM_LOOKUP);
-                                    bump(&mut self.counters, Counter::HopsBloomConflicts);
-                                } else {
-                                    completed += HOPS_FALSE_POSITIVE_PENALTY;
-                                    bump(&mut self.counters, Counter::HopsBloomFalsePositives);
-                                }
-                            }
-                        }
-                        Machinery::PmemSpec { .. } => {
-                            self.push_event(fetch.arrival, PmcEventKind::Read { line });
-                        }
-                        _ => {}
+                    completed = self.machinery.load_fetch(
+                        line,
+                        completed,
+                        &self.line_meta,
+                        &mut self.counters,
+                    );
+                    if self.machinery.watches_fetches() {
+                        self.push_event(fetch.arrival, PmcEventKind::Read { line });
                     }
                 }
                 self.cores[idx]
@@ -1342,7 +1127,7 @@ impl System {
                     bump(&mut self.counters, Counter::PmcFetches);
                     // The write-allocate fetch is visible to the
                     // controller like any other read (Figure 4).
-                    if matches!(self.machinery, Machinery::PmemSpec { .. }) {
+                    if self.machinery.watches_fetches() {
                         self.push_event(fetch.arrival, PmcEventKind::Read { line });
                     }
                 }
@@ -1354,280 +1139,130 @@ impl System {
                     .sq
                     .push(commit, SqKind::Store)
                     .expect("sq_admit freed a slot");
-                let mut next_time = retire + one;
+                let mut wait = None;
                 if addr.is_pm() {
-                    let spec_tag = self.cores[idx].spec_tag;
-                    match &mut self.machinery {
-                        Machinery::IntelX86 => {}
-                        Machinery::Dpo { buffers, token } => {
-                            let ci = controller_for(line.raw(), self.pmcs.len());
-                            let ins = buffers[idx].insert(
-                                commit,
-                                line.raw(),
-                                &mut self.pmcs[ci],
-                                Some(token),
-                            );
-                            if ins.admitted > commit {
-                                // Full buffer back-pressures the core.
-                                next_time = next_time.max(ins.admitted);
-                                bump(&mut self.counters, Counter::DpoBufferFullStalls);
-                            }
-                            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-                            self.push_event(
-                                ins.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit,
-                                    spec: SpecTag::NONE,
-                                    core: idx as u32,
-                                },
-                            );
-                        }
-                        Machinery::Hops { buffers, bloom } => {
-                            let ci = controller_for(line.raw(), self.pmcs.len());
-                            let ins =
-                                buffers[idx].insert(commit, line.raw(), &mut self.pmcs[ci], None);
-                            if ins.admitted > commit {
-                                next_time = next_time.max(ins.admitted);
-                                bump(&mut self.counters, Counter::HopsBufferFullStalls);
-                            }
-                            bloom.insert(line.raw());
-                            let meta = self.line_meta.get_mut(pm_line_index(line));
-                            if meta.hops_pending == 0 {
-                                meta.hops_accept = ins.accepted;
-                            } else {
-                                meta.hops_accept = meta.hops_accept.max(ins.accepted);
-                            }
-                            meta.hops_pending += 1;
-                            meta.pending += 1;
-                            self.push_event(
-                                ins.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit,
-                                    spec: SpecTag::NONE,
-                                    core: idx as u32,
-                                },
-                            );
-                        }
-                        Machinery::StrandWeaver { buffers } => {
-                            let ci = controller_for(line.raw(), self.pmcs.len());
-                            let ins = buffers[idx].insert(commit, line.raw(), &mut self.pmcs[ci]);
-                            if ins.admitted > commit {
-                                next_time = next_time.max(ins.admitted);
-                                bump(&mut self.counters, Counter::StrandBufferFullStalls);
-                            }
-                            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-                            self.push_event(
-                                ins.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit,
-                                    spec: SpecTag::NONE,
-                                    core: idx as u32,
-                                },
-                            );
-                        }
-                        Machinery::PmemSpec { paths, .. } => {
-                            // Dual-issue: the data leaves for the persist
-                            // path the moment the store retires (§4.2) —
-                            // the path carries the value and bypasses the
-                            // caches, so it does not wait for a
-                            // write-allocate fill the way the cache-side
-                            // write does. This is also why Figure 4's
-                            // false positives exist: the persist can beat
-                            // the fetch's own completion to the PMC.
-                            // The pessimistic retry mode instead
-                            // dispatches after the fill, so the persist
-                            // can never race this store's own fetch.
-                            let base = if self.cores[idx].nonspec_retry {
-                                commit
-                            } else {
-                                retire
-                            };
-                            let dispatch = base.max(self.cores[idx].last_persist_dispatch);
-                            self.cores[idx].last_persist_dispatch = dispatch;
-                            let ci = controller_for(line.raw(), self.pmcs.len());
-                            let route = ci % paths[idx].len();
-                            let delivery = paths[idx][route].send(dispatch);
-                            let svc = self.pmcs[ci].write_word(delivery, line.raw());
-                            paths[idx][route].note_backpressure(svc.accepted);
-                            self.line_meta.get_mut(pm_line_index(line)).pending += 1;
-                            self.push_event(
-                                svc.accepted,
-                                PmcEventKind::PersistWord {
-                                    addr,
-                                    value,
-                                    commit: dispatch,
-                                    spec: SpecTag::new(spec_tag),
-                                    core: idx as u32,
-                                },
-                            );
-                            if self.cores[idx].nonspec_retry {
-                                // Pessimistic fallback: wait for
-                                // durability (plus the return ack) before
-                                // proceeding.
-                                next_time =
-                                    next_time.max(svc.accepted + self.cfg.persist_path_latency);
-                            }
-                        }
+                    let store = PmStore {
+                        core: idx,
+                        line,
+                        retire,
+                        commit,
+                        nonspec_retry: self.cores[idx].nonspec_retry,
+                    };
+                    if let Some(p) =
+                        self.machinery
+                            .persist_store(store, &mut self.pmcs, &mut self.line_meta)
+                    {
+                        let spec = self.cores[idx].spec_tag;
+                        self.push_persist_word(p.accepted, addr, value, p.order, spec, idx);
+                        wait = p.wait;
                     }
                 }
-                probe.charge(idx, Bucket::Issue, retire + one);
-                if next_time > retire + one {
-                    // The only post-retire bumps are persist-machinery
-                    // back-pressure (DPO/HOPS/StrandWeaver full buffers)
-                    // and PMEM-Spec's pessimistic per-store durability
-                    // wait, which is an ordering stall.
-                    let bucket = match self.machinery {
-                        Machinery::PmemSpec { .. } => Bucket::FenceDrain,
-                        _ => Bucket::PersistBufferFull,
-                    };
-                    probe.charge(idx, bucket, next_time);
+                let issued = retire + one;
+                probe.charge(idx, Bucket::Issue, issued);
+                let mut next_time = issued;
+                if let Some((until, bucket)) = wait {
+                    if until > issued {
+                        // The only post-retire wait is the persist
+                        // machinery's: a full buffer's back-pressure, or
+                        // PMEM-Spec's pessimistic per-store durability
+                        // wait.
+                        probe.charge(idx, bucket, until);
+                        next_time = until;
+                    }
                 }
                 self.cores[idx].time = next_time;
                 self.cores[idx].pc += 1;
             }
             Op::Clwb { addr } => {
-                match self.machinery {
-                    Machinery::IntelX86 => {
-                        let retire = self.sq_admit(idx, t, probe);
-                        let out = self
-                            .hierarchy
-                            .clwb(idx, addr.line(), retire, &mut self.pmcs);
-                        let mut completed = out.completed;
-                        if let Some(svc) = out.pm_write {
-                            self.push_event(
-                                svc.accepted,
-                                PmcEventKind::PersistLine { line: addr.line() },
-                            );
-                            bump(&mut self.counters, Counter::PmcClwbWritebacks);
-                            // The CLWB retires once the ADR domain's
-                            // acknowledgment travels back up the
-                            // hierarchy; an SFENCE waits for that.
-                            completed = completed
-                                + self.cfg.llc_to_pmc_latency
-                                + self.cfg.llc.hit_latency
-                                + self.cfg.l1.hit_latency;
-                        }
-                        self.cores[idx]
-                            .sq
-                            .push(completed, SqKind::Clwb)
-                            .expect("sq_admit freed a slot");
-                        probe.charge(idx, Bucket::Issue, retire + one);
-                        self.cores[idx].time = retire + one;
+                if self.machinery.absorbs_clwb() {
+                    probe.charge(idx, Bucket::Issue, t + one);
+                    self.cores[idx].time = t + one;
+                } else {
+                    let retire = self.sq_admit(idx, t, probe);
+                    let out = self
+                        .hierarchy
+                        .clwb(idx, addr.line(), retire, &mut self.pmcs);
+                    let mut completed = out.completed;
+                    if let Some(svc) = out.pm_write {
+                        self.push_event(
+                            svc.accepted,
+                            PmcEventKind::PersistLine { line: addr.line() },
+                        );
+                        bump(&mut self.counters, Counter::PmcClwbWritebacks);
+                        // The CLWB retires once the ADR domain's
+                        // acknowledgment travels back up the hierarchy;
+                        // an SFENCE waits for that.
+                        completed = completed
+                            + self.cfg.llc_to_pmc_latency
+                            + self.cfg.llc.hit_latency
+                            + self.cfg.l1.hit_latency;
                     }
-                    // DPO hardware absorbs the flush hint — the persist
-                    // buffer already owns persistence (§3.2: DPO runs
-                    // unmodified x86 binaries).
-                    _ => {
-                        probe.charge(idx, Bucket::Issue, t + one);
-                        self.cores[idx].time = t + one;
-                    }
+                    self.cores[idx]
+                        .sq
+                        .push(completed, SqKind::Clwb)
+                        .expect("sq_admit freed a slot");
+                    probe.charge(idx, Bucket::Issue, retire + one);
+                    self.cores[idx].time = retire + one;
                 }
                 self.cores[idx].pc += 1;
             }
             Op::Sfence => {
-                match &mut self.machinery {
-                    Machinery::IntelX86 => {
-                        // Stall until all prior stores and CLWBs complete.
-                        let slowest = self.cores[idx].sq.iter().max_by_key(|e| e.ready).copied();
-                        self.cores[idx].sq.clear();
-                        let drained = slowest.map_or(t, |e| e.ready).max(t);
-                        if let Some(e) = slowest {
-                            if e.ready > t {
-                                // The fence waits out the slowest queue
-                                // entry: a CLWB round trip is flush time,
-                                // a plain store an ordering drain.
-                                let bucket = match e.value {
-                                    SqKind::Clwb => Bucket::Flush,
-                                    SqKind::Store => Bucket::FenceDrain,
-                                };
-                                probe.charge(idx, bucket, e.ready);
-                            }
+                if let Some(drained) = self.machinery.barrier_drain(idx, t, &mut self.counters) {
+                    probe.charge(idx, Bucket::FenceDrain, drained);
+                    self.cores[idx].time = drained;
+                } else {
+                    // Stall until all prior stores and CLWBs complete.
+                    let slowest = self.cores[idx].sq.iter().max_by_key(|e| e.ready).copied();
+                    self.cores[idx].sq.clear();
+                    let drained = slowest.map_or(t, |e| e.ready).max(t);
+                    if let Some(e) = slowest {
+                        if e.ready > t {
+                            // The fence waits out the slowest queue
+                            // entry: a CLWB round trip is flush time, a
+                            // plain store an ordering drain.
+                            let bucket = match e.value {
+                                SqKind::Clwb => Bucket::Flush,
+                                SqKind::Store => Bucket::FenceDrain,
+                            };
+                            probe.charge(idx, bucket, e.ready);
                         }
-                        self.cores[idx].time = drained;
-                        bump(&mut self.counters, Counter::X86Sfences);
                     }
-                    Machinery::Dpo { buffers, .. } => {
-                        // DPO enforces persist order at SFENCE and at every
-                        // other barrier the program executes (§8.2.2): the
-                        // fence drains the persist buffer, acknowledgment
-                        // returning over the path — a constraint TSO does
-                        // not actually need, which is why DPO lands below
-                        // the baseline.
-                        let mut drained = buffers[idx].drained_at(t);
-                        if drained > t {
-                            drained += self.cfg.persist_path_latency;
-                        }
-                        buffers[idx].ofence();
-                        probe.charge(idx, Bucket::FenceDrain, drained);
-                        self.cores[idx].time = drained;
-                        bump(&mut self.counters, Counter::DpoBarrierDrains);
-                    }
-                    _ => unreachable!("SFENCE outside IntelX86/DPO programs"),
+                    self.cores[idx].time = drained;
+                    bump(&mut self.counters, Counter::X86Sfences);
                 }
                 self.cores[idx].pc += 1;
             }
-            Op::Ofence => {
-                let Machinery::Hops { buffers, .. } = &mut self.machinery else {
-                    unreachable!("ofence outside HOPS programs")
+            Op::Ofence | Op::StrandBarrier | Op::NewStrand => {
+                self.machinery.order(idx, op);
+                let counter = match op {
+                    Op::Ofence => Counter::HopsOfences,
+                    Op::StrandBarrier => Counter::StrandBarriers,
+                    _ => Counter::StrandNew,
                 };
-                buffers[idx].ofence();
-                bump(&mut self.counters, Counter::HopsOfences);
+                bump(&mut self.counters, counter);
                 probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
             }
-            Op::Dfence => {
-                let Machinery::Hops { buffers, .. } = &mut self.machinery else {
-                    unreachable!("dfence outside HOPS programs")
-                };
-                // The drain acknowledgment returns over the persist path.
-                let mut drained = buffers[idx].drained_at(t);
-                if drained > t {
-                    drained += self.cfg.persist_path_latency;
-                }
+            Op::Dfence | Op::SpecBarrier | Op::JoinStrand => {
+                let drained = self.machinery.drain_ack(idx, t);
                 let joined = self.join_loads(idx, t, probe);
                 let done = drained.max(joined);
                 // Piecewise by binding constraint: join_loads charged
-                // [t, joined] to the slowest load's level; the drain
-                // tail beyond that is fence time.
+                // [t, joined] to the slowest load's level; the drain tail
+                // beyond that is fence time.
                 probe.charge(idx, Bucket::FenceDrain, done);
                 self.cores[idx].time = done;
-                bump(&mut self.counters, Counter::HopsDfences);
-                self.cores[idx].pc += 1;
-            }
-            Op::SpecBarrier => {
-                let Machinery::PmemSpec { paths, .. } = &mut self.machinery else {
-                    unreachable!("spec-barrier outside PMEM-Spec programs")
+                let counter = match op {
+                    Op::Dfence => Counter::HopsDfences,
+                    Op::SpecBarrier => Counter::SpecBarriers,
+                    _ => Counter::StrandJoins,
                 };
-                // The drain acknowledgment returns over the persist path;
-                // with multiple routes, wait for them all.
-                let mut drained = paths[idx]
-                    .iter()
-                    .map(|p| p.drained_at(t))
-                    .max()
-                    .unwrap_or(t);
-                if drained > t {
-                    drained += self.cfg.persist_path_latency;
-                }
-                let joined = self.join_loads(idx, t, probe);
-                let done = drained.max(joined);
-                probe.charge(idx, Bucket::FenceDrain, done);
-                self.cores[idx].time = done;
-                bump(&mut self.counters, Counter::SpecBarriers);
+                bump(&mut self.counters, counter);
                 self.cores[idx].pc += 1;
             }
             Op::SpecAssign => {
-                let Machinery::PmemSpec { counter, .. } = &mut self.machinery else {
-                    unreachable!("spec-assign outside PMEM-Spec programs")
-                };
-                self.cores[idx].spec_tag = Some(*counter);
-                *counter += 1;
+                self.cores[idx].spec_tag = Some(self.machinery.assign_spec_id());
                 probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
                 self.cores[idx].pc += 1;
@@ -1636,42 +1271,6 @@ impl System {
                 self.cores[idx].spec_tag = None;
                 probe.charge(idx, Bucket::Issue, t + one);
                 self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
-            Op::NewStrand => {
-                let Machinery::StrandWeaver { buffers } = &mut self.machinery else {
-                    unreachable!("new-strand outside StrandWeaver programs")
-                };
-                buffers[idx].new_strand();
-                bump(&mut self.counters, Counter::StrandNew);
-                probe.charge(idx, Bucket::Issue, t + one);
-                self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
-            Op::StrandBarrier => {
-                let Machinery::StrandWeaver { buffers } = &mut self.machinery else {
-                    unreachable!("persist-barrier outside StrandWeaver programs")
-                };
-                buffers[idx].strand_barrier();
-                bump(&mut self.counters, Counter::StrandBarriers);
-                probe.charge(idx, Bucket::Issue, t + one);
-                self.cores[idx].time = t + one;
-                self.cores[idx].pc += 1;
-            }
-            Op::JoinStrand => {
-                let Machinery::StrandWeaver { buffers } = &mut self.machinery else {
-                    unreachable!("join-strand outside StrandWeaver programs")
-                };
-                // The drain acknowledgment returns over the path.
-                let mut joined = buffers[idx].joined_at(t);
-                if joined > t {
-                    joined += self.cfg.persist_path_latency;
-                }
-                let loads = self.join_loads(idx, t, probe);
-                let done = joined.max(loads);
-                probe.charge(idx, Bucket::FenceDrain, done);
-                self.cores[idx].time = done;
-                bump(&mut self.counters, Counter::StrandJoins);
                 self.cores[idx].pc += 1;
             }
             Op::Lock { lock } => {
@@ -1718,16 +1317,9 @@ impl System {
                     self.handle_evictions(out.dirty_pm_evictions);
                     probe.charge(idx, served_bucket(out.served_from), out.completed);
                     let mut done = out.completed;
-                    if let Machinery::Dpo { buffers, .. } = &self.machinery {
-                        // DPO orders persists at every barrier the program
-                        // executes, including the acquire fence (§8.2.2);
-                        // the drain acknowledgment returns over the path.
-                        let mut drained = buffers[idx].drained_at(t);
-                        if drained > t {
-                            drained += self.cfg.persist_path_latency;
-                        }
+                    if let Some(drained) = self.machinery.barrier_drain(idx, t, &mut self.counters)
+                    {
                         done = done.max(drained);
-                        bump(&mut self.counters, Counter::DpoBarrierDrains);
                     }
                     probe.charge(idx, Bucket::FenceDrain, done);
                     let lock_state = self.locks.get_mut(&lock).expect("just inserted");
@@ -1750,13 +1342,8 @@ impl System {
                 // returned.
                 let t_loads = self.join_loads(idx, t, probe);
                 let mut release_at = t_loads.max(self.cores[idx].last_store_commit);
-                if let Machinery::Dpo { buffers, .. } = &self.machinery {
-                    let mut drained = buffers[idx].drained_at(t);
-                    if drained > t {
-                        drained += self.cfg.persist_path_latency;
-                    }
+                if let Some(drained) = self.machinery.barrier_drain(idx, t, &mut self.counters) {
                     release_at = release_at.max(drained);
-                    bump(&mut self.counters, Counter::DpoBarrierDrains);
                 }
                 // Store-queue drain (TSO release order) and the DPO
                 // barrier drain are both ordering stalls.
@@ -1992,50 +1579,7 @@ impl System {
             .unwrap_or(Cycle::ZERO);
         let fases_committed = self.cores.iter().map(|c| c.committed).sum();
         let fases_aborted = self.cores.iter().map(|c| c.aborted).sum();
-        let (load_det, store_det, overflows) = match &self.machinery {
-            Machinery::PmemSpec { spec, .. } => {
-                self.stats.add(
-                    "spec_buffer.allocations",
-                    spec.iter()
-                        .map(super::spec_buffer::SpecBuffer::allocations)
-                        .sum(),
-                );
-                self.stats.add(
-                    "spec_buffer.expirations",
-                    spec.iter()
-                        .map(super::spec_buffer::SpecBuffer::expirations)
-                        .sum(),
-                );
-                (
-                    spec.iter()
-                        .map(super::spec_buffer::SpecBuffer::load_detections)
-                        .sum(),
-                    spec.iter()
-                        .map(super::spec_buffer::SpecBuffer::store_detections)
-                        .sum(),
-                    spec.iter()
-                        .map(super::spec_buffer::SpecBuffer::overflows)
-                        .sum(),
-                )
-            }
-            Machinery::Hops { buffers, .. } | Machinery::Dpo { buffers, .. } => {
-                let stalls: u64 = buffers
-                    .iter()
-                    .map(super::persist_buffer::EpochPersistBuffer::full_stalls)
-                    .sum();
-                self.stats.add("persist_buffer.full_stalls", stalls);
-                (0, 0, 0)
-            }
-            Machinery::StrandWeaver { buffers } => {
-                let stalls: u64 = buffers
-                    .iter()
-                    .map(super::strand_buffer::StrandBuffer::full_stalls)
-                    .sum();
-                self.stats.add("strand_buffer.full_stalls", stalls);
-                (0, 0, 0)
-            }
-            Machinery::IntelX86 => (0, 0, 0),
-        };
+        let (load_det, store_det, overflows) = self.machinery.fold_stats(&mut self.stats);
         RunReport {
             design: self.program.design(),
             total_time,
@@ -2083,20 +1627,15 @@ impl System {
         for i in 0..self.cfg.cores {
             names.push(format!("core{i}.sq"));
             names.push(format!("core{i}.mshr"));
-            match self.machinery {
-                Machinery::IntelX86 => {}
-                Machinery::Dpo { .. } | Machinery::Hops { .. } => {
-                    names.push(format!("core{i}.pb"));
-                }
-                Machinery::PmemSpec { .. } => names.push(format!("core{i}.path")),
-                Machinery::StrandWeaver { .. } => names.push(format!("core{i}.strand")),
+            if let Some((name, _)) = self.machinery.core_queue(i, Cycle::ZERO) {
+                names.push(format!("core{i}.{name}"));
             }
         }
         for j in 0..self.pmcs.len() {
             names.push(format!("pmc{j}.rq"));
             names.push(format!("pmc{j}.wq"));
-            if matches!(self.machinery, Machinery::PmemSpec { .. }) {
-                names.push(format!("pmc{j}.spec"));
+            if let Some((name, _)) = self.machinery.controller_queue(j, Cycle::ZERO) {
+                names.push(format!("pmc{j}.{name}"));
             }
         }
         names
@@ -2109,25 +1648,16 @@ impl System {
         for (i, core) in self.cores.iter().enumerate() {
             values.push(core.sq.iter().filter(|e| e.ready > at).count() as u64);
             values.push(core.loads.iter().filter(|e| e.ready > at).count() as u64);
-            match &self.machinery {
-                Machinery::IntelX86 => {}
-                Machinery::Dpo { buffers, .. } | Machinery::Hops { buffers, .. } => {
-                    values.push(buffers[i].occupancy_at(at) as u64);
-                }
-                Machinery::PmemSpec { paths, .. } => {
-                    values.push(paths[i].iter().map(|p| p.in_flight_at(at) as u64).sum());
-                }
-                Machinery::StrandWeaver { buffers } => {
-                    values.push(buffers[i].occupancy_at(at) as u64);
-                }
-            }
+            values.extend(self.machinery.core_queue(i, at).map(|(_, depth)| depth));
         }
         for (j, pmc) in self.pmcs.iter().enumerate() {
             values.push(pmc.read_queue_depth(at) as u64);
             values.push(pmc.write_queue_depth(at) as u64);
-            if let Machinery::PmemSpec { spec, .. } = &self.machinery {
-                values.push(spec[j].occupancy_at(at) as u64);
-            }
+            values.extend(
+                self.machinery
+                    .controller_queue(j, at)
+                    .map(|(_, depth)| depth),
+            );
         }
         values
     }

@@ -39,6 +39,8 @@
 //! * **HOPS**: stores enter the open epoch; `ofence` closes it without
 //!   stalling; `dfence` stalls until empty. Epoch n+1 may not begin
 //!   draining before epoch n is durable; within an epoch, any order.
+//!   This is StrandWeaver's buffer with a single strand that never
+//!   renews.
 //! * **PMEM-Spec**: stores enter the per-core FIFO persist path; nothing
 //!   at ordering points; `spec-barrier` stalls until empty.
 //! * **StrandWeaver**: strands drain independently; `persist-barrier`
@@ -67,7 +69,8 @@ use crate::litmus::LitmusTest;
 /// around 10³–10⁴, so hitting this is a suite bug, not scale.
 const STATE_LIMIT: usize = 1 << 21;
 
-/// One strand of a StrandWeaver buffer: epoch-ordered word entries.
+/// One strand of a HOPS or StrandWeaver buffer: epoch-ordered word
+/// entries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct StrandBuf {
     /// Front epoch drains first; only non-empty epochs are kept, except
@@ -86,14 +89,10 @@ enum Buf {
     Writeback(BTreeSet<LineAddr>),
     /// DPO / PMEM-Spec: word FIFO — value captured at store.
     Fifo(VecDeque<(Addr, u64)>),
-    /// HOPS: epoch-ordered word buffer.
-    Epochs {
-        /// Front epoch drains first.
-        epochs: VecDeque<Vec<(Addr, u64)>>,
-        /// The next store opens a new epoch (an ofence was seen).
-        close: bool,
-    },
-    /// StrandWeaver: independently draining strands.
+    /// StrandWeaver: independently draining strands. HOPS is the same
+    /// buffer with one strand that never renews (its `ofence` is the
+    /// strand's `persist-barrier`), as in the timing simulator's
+    /// `PersistBuffer`.
     Strands {
         /// Strands in creation order (order carries no constraint).
         strands: Vec<StrandBuf>,
@@ -107,11 +106,7 @@ impl Buf {
         match design {
             DesignKind::IntelX86 => Buf::Writeback(BTreeSet::new()),
             DesignKind::Dpo | DesignKind::PmemSpec => Buf::Fifo(VecDeque::new()),
-            DesignKind::Hops => Buf::Epochs {
-                epochs: VecDeque::new(),
-                close: false,
-            },
-            DesignKind::StrandWeaver => Buf::Strands {
+            DesignKind::Hops | DesignKind::StrandWeaver => Buf::Strands {
                 strands: Vec::new(),
                 fresh: false,
             },
@@ -124,7 +119,6 @@ impl Buf {
         match self {
             Buf::Writeback(lines) => lines.is_empty(),
             Buf::Fifo(q) => q.is_empty(),
-            Buf::Epochs { epochs, .. } => epochs.is_empty(),
             Buf::Strands { strands, .. } => strands.is_empty(),
         }
     }
@@ -134,14 +128,6 @@ impl Buf {
     fn normalize(&mut self) {
         match self {
             Buf::Writeback(_) | Buf::Fifo(_) => {}
-            Buf::Epochs { epochs, close } => {
-                while epochs.front().is_some_and(Vec::is_empty) {
-                    epochs.pop_front();
-                }
-                if epochs.is_empty() {
-                    *close = false;
-                }
-            }
             Buf::Strands { strands, fresh } => {
                 for s in strands.iter_mut() {
                     while s.epochs.front().is_some_and(Vec::is_empty) {
@@ -170,13 +156,6 @@ impl Buf {
             // x86 stores persist only via their CLWB.
             Buf::Writeback(_) => {}
             Buf::Fifo(q) => q.push_back((addr, value)),
-            Buf::Epochs { epochs, close } => {
-                if *close || epochs.is_empty() {
-                    epochs.push_back(Vec::new());
-                    *close = false;
-                }
-                epochs.back_mut().expect("just ensured").push((addr, value));
-            }
             Buf::Strands { strands, fresh } => {
                 if *fresh || strands.is_empty() {
                     strands.push(StrandBuf {
@@ -328,18 +307,9 @@ impl Machine {
                 lines.insert(addr.line());
                 format!("t{t}:clwb {addr}")
             }
-            Op::Ofence => {
-                let Buf::Epochs { close, epochs } = &mut s.bufs[t] else {
-                    unreachable!("ofence is HOPS-only");
-                };
-                if !epochs.is_empty() {
-                    *close = true;
-                }
-                format!("t{t}:ofence")
-            }
-            Op::StrandBarrier => {
+            Op::Ofence | Op::StrandBarrier => {
                 let Buf::Strands { strands, fresh } = &mut s.bufs[t] else {
-                    unreachable!("persist-barrier is StrandWeaver-only");
+                    unreachable!("ofence/persist-barrier are HOPS/StrandWeaver-only");
                 };
                 if !*fresh {
                     if let Some(last) = strands.last_mut() {
@@ -348,7 +318,7 @@ impl Machine {
                         }
                     }
                 }
-                format!("t{t}:persist-barrier")
+                format!("t{t}:{}", op.mnemonic())
             }
             Op::NewStrand => {
                 let Buf::Strands { fresh, strands } = &mut s.bufs[t] else {
@@ -357,12 +327,11 @@ impl Machine {
                 if !strands.is_empty() {
                     *fresh = true;
                 }
-                format!("t{t}:new-strand")
+                format!("t{t}:{}", op.mnemonic())
             }
-            Op::Sfence => format!("t{t}:sfence"),
-            Op::Dfence => format!("t{t}:dfence"),
-            Op::SpecBarrier => format!("t{t}:spec-barrier"),
-            Op::JoinStrand => format!("t{t}:join-strand"),
+            Op::Sfence | Op::Dfence | Op::SpecBarrier | Op::JoinStrand => {
+                format!("t{t}:{}", op.mnemonic())
+            }
             Op::Lock { lock } => {
                 s.locks.insert(lock.0, t);
                 format!("t{t}:lock {lock}")
@@ -408,19 +377,6 @@ impl Machine {
                         unreachable!("clone preserves the buffer kind");
                     };
                     nq.pop_front();
-                    self.settle(&mut next);
-                    out.push((format!("t{t}:accept {addr}"), next));
-                }
-            }
-            Buf::Epochs { epochs, .. } => {
-                let Some(front) = epochs.front() else { return };
-                for (i, &(addr, v)) in front.iter().enumerate() {
-                    let mut next = s.clone();
-                    next.pmem.insert(addr, v);
-                    let Buf::Epochs { epochs: ne, .. } = &mut next.bufs[t] else {
-                        unreachable!("clone preserves the buffer kind");
-                    };
-                    ne.front_mut().expect("front exists").remove(i);
                     self.settle(&mut next);
                     out.push((format!("t{t}:accept {addr}"), next));
                 }
