@@ -2,10 +2,9 @@
 //! `System::new(..).run()` per (design × workload) point on the main
 //! (Figure 9) grid — 8 cores, 400 FASEs per thread (120 for memcached,
 //! which moves a kilobyte per SET), seed 11. (The *paper's* figures are
-//! regenerated by the `fig9`..`fig12`/`misspec`/`ablation_detect`
-//! binaries, which report *simulated* time; this harness tracks what a
-//! point costs the *host*, so simulator-speed regressions are measured
-//! rather than asserted.) The main grid — not the reduced smoke grid —
+//! regenerated by the `experiments` binary, which reports *simulated*
+//! time; this harness tracks what a point costs the *host*, so
+//! simulator-speed regressions are measured rather than asserted.) The main grid — not the reduced smoke grid —
 //! is measured because host-side costs are dominated by working-set
 //! effects (page-table and scheduler population sizes) that a 2-core,
 //! 25-FASE run never reaches.

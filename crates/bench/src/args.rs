@@ -1,15 +1,17 @@
 //! The one command-line parser shared by every experiment binary.
 //!
-//! Every figure/table binary accepts the same small flag set, so the
-//! parsing lives here instead of being re-scanned ad hoc per binary
-//! (the old `csv_mode()` pattern):
+//! Every binary accepts the same small flag set, so the parsing lives
+//! here instead of being re-scanned ad hoc per binary:
 //!
 //! | Flag | Meaning |
 //! |---|---|
-//! | `--csv` | machine-readable CSV instead of markdown |
+//! | `--out DIR` | directory artifacts are written to (default `results`) |
 //! | `--json[=PATH]` | also write the results as JSON (default `results/<bin>.json`) |
 //! | `--serial` | run every sweep point on one thread (escape hatch) |
 //! | `--jobs N` | worker-thread count (overrides `PMEMSPEC_JOBS`) |
+//!
+//! Bare words that are not a flag's value are collected as operands
+//! (the experiment names of the `experiments` binary).
 //!
 //! Environment:
 //!
@@ -18,17 +20,16 @@
 //! | `PMEMSPEC_JOBS` | default worker count (else `available_parallelism`) |
 //! | `PMEMSPEC_SMOKE` | reduced grid: 2 cores, 1 seed, 25 FASEs |
 //!
-//! Unknown arguments are ignored, matching the old behaviour (the
-//! binaries are also invoked by test harnesses that pass their own
-//! flags).
+//! Unknown flags are ignored (the binaries are also invoked by test
+//! harnesses that pass their own flags).
 
 use std::path::PathBuf;
 
 /// Parsed command-line options for an experiment binary.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// `--csv`: emit CSV instead of markdown.
-    pub csv: bool,
+    /// `--out DIR`: where artifacts are written (default `results`).
+    pub out: PathBuf,
     /// `--json` was given (with or without a path).
     pub json: bool,
     /// Explicit `--json=PATH` / `--json PATH` target, when given.
@@ -37,6 +38,21 @@ pub struct BenchArgs {
     pub serial: bool,
     /// `--jobs N`: explicit worker count.
     pub jobs: Option<usize>,
+    /// Bare operands, in order.
+    pub operands: Vec<String>,
+}
+
+impl Default for BenchArgs {
+    fn default() -> Self {
+        BenchArgs {
+            out: PathBuf::from("results"),
+            json: false,
+            json_path: None,
+            serial: false,
+            jobs: None,
+            operands: Vec::new(),
+        }
+    }
 }
 
 impl BenchArgs {
@@ -74,17 +90,23 @@ impl<S: Into<String>> FromIterator<S> for BenchArgs {
         let mut out = BenchArgs::default();
         let mut iter = args.into_iter().map(Into::into).peekable();
         while let Some(arg) = iter.next() {
+            // A path operand of `--out`/`--json`, without swallowing a
+            // following flag.
+            let mut path_operand = || {
+                iter.next_if(|next| !next.starts_with('-'))
+                    .map(PathBuf::from)
+            };
             match arg.as_str() {
-                "--csv" => out.csv = true,
                 "--serial" => out.serial = true,
+                "--out" => {
+                    if let Some(dir) = path_operand() {
+                        out.out = dir;
+                    }
+                }
                 "--json" => {
                     out.json = true;
-                    // Accept an optional separate path operand, but do
-                    // not swallow a following flag.
-                    if let Some(next) = iter.peek() {
-                        if !next.starts_with('-') {
-                            out.json_path = Some(PathBuf::from(iter.next().expect("peeked")));
-                        }
+                    if let Some(path) = path_operand() {
+                        out.json_path = Some(path);
                     }
                 }
                 "--jobs" => {
@@ -93,13 +115,17 @@ impl<S: Into<String>> FromIterator<S> for BenchArgs {
                     }
                 }
                 _ => {
-                    if let Some(path) = arg.strip_prefix("--json=") {
+                    if let Some(dir) = arg.strip_prefix("--out=") {
+                        out.out = PathBuf::from(dir);
+                    } else if let Some(path) = arg.strip_prefix("--json=") {
                         out.json = true;
                         out.json_path = Some(PathBuf::from(path));
                     } else if let Some(v) = arg.strip_prefix("--jobs=") {
                         out.jobs = v.parse().ok().filter(|&n: &usize| n > 0);
+                    } else if !arg.starts_with('-') {
+                        out.operands.push(arg);
                     }
-                    // Anything else: ignore, like the old csv_mode().
+                    // Any other flag: ignore.
                 }
             }
         }
@@ -120,8 +146,8 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let a = BenchArgs::from_iter(["--csv", "--serial", "--jobs", "3"]);
-        assert!(a.csv && a.serial);
+        let a = BenchArgs::from_iter(["--serial", "--jobs", "3"]);
+        assert!(a.serial);
         assert_eq!(a.jobs, Some(3));
     }
 
@@ -140,16 +166,44 @@ mod tests {
 
     #[test]
     fn json_does_not_swallow_flags() {
-        let a = BenchArgs::from_iter(["--json", "--csv"]);
-        assert!(a.json && a.csv);
+        let a = BenchArgs::from_iter(["--json", "--serial"]);
+        assert!(a.json && a.serial);
         assert!(a.json_path.is_none());
     }
 
     #[test]
     fn unknown_arguments_are_ignored() {
-        let a = BenchArgs::from_iter(["--quiet", "--nocapture", "--csv"]);
-        assert!(a.csv);
-        assert!(!a.serial);
+        let a = BenchArgs::from_iter(["--quiet", "--nocapture", "--serial"]);
+        assert!(a.serial);
+        assert_eq!(
+            a,
+            BenchArgs {
+                serial: true,
+                ..BenchArgs::default()
+            }
+        );
+    }
+
+    #[test]
+    fn out_default_and_explicit_dirs() {
+        assert_eq!(BenchArgs::default().out, PathBuf::from("results"));
+        let a = BenchArgs::from_iter(["--out", "ci-exp", "--serial"]);
+        assert_eq!(a.out, PathBuf::from("ci-exp"));
+        assert!(a.serial);
+        let b = BenchArgs::from_iter(["--out=D"]);
+        assert_eq!(b.out, PathBuf::from("D"));
+        // A following flag is not taken as the directory.
+        let c = BenchArgs::from_iter(["--out", "--serial"]);
+        assert_eq!(c.out, PathBuf::from("results"));
+        assert!(c.serial);
+    }
+
+    #[test]
+    fn bare_words_are_operands_but_flag_values_are_not() {
+        let a = BenchArgs::from_iter(["fig9", "--out", "D", "--jobs", "2", "table3"]);
+        assert_eq!(a.operands, ["fig9", "table3"]);
+        assert_eq!(a.out, PathBuf::from("D"));
+        assert_eq!(a.jobs, Some(2));
     }
 
     #[test]

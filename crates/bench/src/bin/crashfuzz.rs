@@ -30,7 +30,6 @@
 //! forbidden outcome, deadlock, or finals-coverage failure; coverage
 //! slack is reported but not fatal.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -59,38 +58,13 @@ fn fases_for(benchmark: Benchmark, smoke: bool) -> usize {
     }
 }
 
-/// `--litmus-exhaustive` and `--out DIR` / `--out=DIR`, scanned from the
-/// raw argument list ([`BenchArgs`] ignores flags it does not know).
-fn extra_flags() -> (bool, PathBuf) {
-    let mut exhaustive = false;
-    let mut out = PathBuf::from("results");
-    let mut iter = std::env::args().skip(1).peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--litmus-exhaustive" => exhaustive = true,
-            "--out" => {
-                if let Some(v) = iter.peek() {
-                    if !v.starts_with('-') {
-                        out = PathBuf::from(iter.next().expect("peeked"));
-                    }
-                }
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--out=") {
-                    out = PathBuf::from(v);
-                }
-            }
-        }
-    }
-    (exhaustive, out)
-}
-
 /// The `--litmus-exhaustive` mode: enumerate every (shape × design)
 /// pair, diff against the axiomatic oracle, and write the byte-stable
 /// report pair. Returns the process exit code.
-fn run_litmus_exhaustive(args: &BenchArgs, out: &PathBuf) -> ExitCode {
+fn run_litmus_exhaustive(args: &BenchArgs) -> ExitCode {
     use std::fmt::Write as _;
 
+    let out = &args.out;
     let workers = worker_count(args);
     let started = Instant::now();
 
@@ -323,9 +297,8 @@ fn run_litmus_exhaustive(args: &BenchArgs, out: &PathBuf) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
-    let (exhaustive, out) = extra_flags();
-    if exhaustive {
-        return run_litmus_exhaustive(&args, &out);
+    if std::env::args().any(|a| a == "--litmus-exhaustive") {
+        return run_litmus_exhaustive(&args);
     }
     let smoke = smoke_mode();
     let workers = worker_count(&args);

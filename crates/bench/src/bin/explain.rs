@@ -23,8 +23,8 @@
 //! Points run on the shared worker pool and reduce in spec order, so
 //! the output is byte-identical to `--serial`; CI diffs the two.
 //!
-//! Flags: the shared set ([`BenchArgs`]) plus `--out DIR` (default
-//! `results`).
+//! Flags: the shared set ([`BenchArgs`], including `--out DIR`) plus
+//! `--trace-dir DIR` and `--collapsed`.
 
 use std::path::PathBuf;
 
@@ -34,40 +34,29 @@ use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
 use pmemspec_workloads::Benchmark;
 
-/// `--out DIR` / `--out=DIR`, `--trace-dir DIR` / `--trace-dir=DIR`,
-/// and `--collapsed`, scanned from the raw argument list ([`BenchArgs`]
-/// ignores flags it does not know).
-fn extra_flags() -> (PathBuf, Option<PathBuf>, bool) {
-    let mut out = PathBuf::from("results");
+/// `--trace-dir DIR` / `--trace-dir=DIR` and `--collapsed`, scanned
+/// from the raw argument list ([`BenchArgs`] ignores flags it does not
+/// know).
+fn extra_flags() -> (Option<PathBuf>, bool) {
     let mut trace_dir = None;
     let mut collapsed = false;
     let mut iter = std::env::args().skip(1).peekable();
     while let Some(arg) = iter.next() {
-        let mut take = |target: &mut PathBuf| {
-            if let Some(v) = iter.peek() {
-                if !v.starts_with('-') {
-                    *target = PathBuf::from(iter.next().expect("peeked"));
-                }
-            }
-        };
         match arg.as_str() {
-            "--out" => take(&mut out),
             "--trace-dir" => {
-                let mut dir = PathBuf::new();
-                take(&mut dir);
-                trace_dir = Some(dir);
+                trace_dir = Some(PathBuf::from(
+                    iter.next_if(|v| !v.starts_with('-')).unwrap_or_default(),
+                ));
             }
             "--collapsed" => collapsed = true,
             _ => {
-                if let Some(v) = arg.strip_prefix("--out=") {
-                    out = PathBuf::from(v);
-                } else if let Some(v) = arg.strip_prefix("--trace-dir=") {
+                if let Some(v) = arg.strip_prefix("--trace-dir=") {
                     trace_dir = Some(PathBuf::from(v));
                 }
             }
         }
     }
-    (out, trace_dir, collapsed)
+    (trace_dir, collapsed)
 }
 
 /// One profiled grid point, in spec order.
@@ -222,7 +211,8 @@ fn write_traces(dir: &PathBuf, cores: usize, seed: u64) {
 
 fn main() {
     let args = BenchArgs::parse();
-    let (out, trace_dir, collapsed) = extra_flags();
+    let (trace_dir, collapsed) = extra_flags();
+    let out = &args.out;
     let cores = suite_cores();
     let seed = seeds()[0];
     let cfg = SimConfig::asplos21(cores);
@@ -250,8 +240,7 @@ fn main() {
 
     let md = markdown(cores, seed, &points);
     print!("{md}");
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
+    std::fs::create_dir_all(out).unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
     let md_path = out.join("breakdown.md");
     std::fs::write(&md_path, &md)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", md_path.display()));

@@ -16,42 +16,15 @@
 //! through the exhaustive model checker, which must reach a persisted
 //! image the intact program's axioms forbid. Non-zero exit on any miss.
 //!
-//! Flags: the shared set ([`BenchArgs`]) plus `--out DIR` (default
-//! `results`).
+//! Flags: the shared set ([`BenchArgs`], including `--out DIR`) plus
+//! `--selftest`.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pmemspec_analyze::{analyze_program, mutate};
 use pmemspec_bench::{lint, sweep, BenchArgs};
 use pmemspec_crashtest::{axiomatic_allowed, enumerate_program};
 use pmemspec_isa::lower_program;
-
-/// `--out DIR` / `--out=DIR` and `--selftest`, scanned from the raw
-/// argument list ([`BenchArgs`] ignores flags it does not know).
-fn extra_flags() -> (PathBuf, bool) {
-    let mut out = PathBuf::from("results");
-    let mut selftest = false;
-    let mut iter = std::env::args().skip(1).peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                if let Some(v) = iter.peek() {
-                    if !v.starts_with('-') {
-                        out = PathBuf::from(iter.next().expect("peeked"));
-                    }
-                }
-            }
-            "--selftest" => selftest = true,
-            _ => {
-                if let Some(v) = arg.strip_prefix("--out=") {
-                    out = PathBuf::from(v);
-                }
-            }
-        }
-    }
-    (out, selftest)
-}
 
 /// The mutation kill matrix: prints one line per mutant, returns the
 /// number of misses.
@@ -97,9 +70,7 @@ fn selftest() -> usize {
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
-    let (out, run_selftest) = extra_flags();
-
-    if run_selftest {
+    if std::env::args().any(|a| a == "--selftest") {
         return if selftest() == 0 {
             ExitCode::SUCCESS
         } else {
@@ -112,8 +83,8 @@ fn main() -> ExitCode {
 
     let md = lint::markdown(&points);
     print!("{md}");
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
+    let out = &args.out;
+    std::fs::create_dir_all(out).unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
     let md_path = out.join("lint.md");
     std::fs::write(&md_path, &md)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", md_path.display()));

@@ -25,7 +25,7 @@ use std::process::ExitCode;
 
 use pmem_spec::{Bucket, Profiler};
 use pmemspec_bench::sweep::{parallel_map, run_point_with, worker_count};
-use pmemspec_bench::{geomeans, print_suite, suite_rows, suite_spec, BenchArgs, Json, SEEDS};
+use pmemspec_bench::{geomeans, suite_markdown, suite_rows, suite_spec, BenchArgs, Json, SEEDS};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
 use pmemspec_workloads::Benchmark;
@@ -90,14 +90,17 @@ fn main() -> ExitCode {
     let cfg = SimConfig::asplos21(CORES);
     let spec = suite_spec(&cfg, &DesignKind::ALL, seeds, |_| FASES);
     let results = spec.run(&args);
-    let rows = suite_rows(&results, &DesignKind::ALL, seeds, |_| FASES);
-    print_suite(
-        &args,
-        &format!(
-            "Smoke grid: {CORES} cores, {} seed, {FASES} FASEs",
-            seeds.len()
-        ),
-        &rows,
+    let rows = suite_rows(&results, &DesignKind::ALL, seeds);
+    print!(
+        "{}",
+        suite_markdown(
+            &format!(
+                "Smoke grid: {CORES} cores, {} seed, {FASES} FASEs",
+                seeds.len()
+            ),
+            &DesignKind::ALL,
+            &rows,
+        )
     );
     let g = geomeans(&rows);
     let buckets = bucket_fractions(&args, seeds[0]);

@@ -24,8 +24,8 @@
 //! Points run on the shared worker pool and reduce in spec order, so
 //! the output is byte-identical to `--serial`; CI diffs the two.
 //!
-//! Flags: the shared set ([`BenchArgs`]) plus `--out DIR` (default
-//! `results`).
+//! Flags: the shared set ([`BenchArgs`], including `--out DIR`) plus
+//! `--trace-dir DIR`.
 
 use std::path::PathBuf;
 
@@ -43,38 +43,21 @@ const TOP_K: usize = 3;
 /// Buckets shown per listed FASE waterfall.
 const TOP_BUCKETS: usize = 4;
 
-/// `--out DIR` / `--out=DIR` and `--trace-dir DIR` / `--trace-dir=DIR`,
-/// scanned from the raw argument list ([`BenchArgs`] ignores flags it
-/// does not know).
-fn extra_flags() -> (PathBuf, Option<PathBuf>) {
-    let mut out = PathBuf::from("results");
+/// `--trace-dir DIR` / `--trace-dir=DIR`, scanned from the raw
+/// argument list ([`BenchArgs`] ignores flags it does not know).
+fn trace_dir_flag() -> Option<PathBuf> {
     let mut trace_dir = None;
     let mut iter = std::env::args().skip(1).peekable();
     while let Some(arg) = iter.next() {
-        let mut take = |target: &mut PathBuf| {
-            if let Some(v) = iter.peek() {
-                if !v.starts_with('-') {
-                    *target = PathBuf::from(iter.next().expect("peeked"));
-                }
-            }
-        };
-        match arg.as_str() {
-            "--out" => take(&mut out),
-            "--trace-dir" => {
-                let mut dir = PathBuf::new();
-                take(&mut dir);
-                trace_dir = Some(dir);
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--out=") {
-                    out = PathBuf::from(v);
-                } else if let Some(v) = arg.strip_prefix("--trace-dir=") {
-                    trace_dir = Some(PathBuf::from(v));
-                }
-            }
+        if arg == "--trace-dir" {
+            trace_dir = Some(PathBuf::from(
+                iter.next_if(|v| !v.starts_with('-')).unwrap_or_default(),
+            ));
+        } else if let Some(v) = arg.strip_prefix("--trace-dir=") {
+            trace_dir = Some(PathBuf::from(v));
         }
     }
-    (out, trace_dir)
+    trace_dir
 }
 
 /// One span-traced grid point, in spec order.
@@ -324,7 +307,8 @@ fn write_traces(dir: &PathBuf, cores: usize, seed: u64) {
 
 fn main() {
     let args = BenchArgs::parse();
-    let (out, trace_dir) = extra_flags();
+    let trace_dir = trace_dir_flag();
+    let out = &args.out;
     let cores = suite_cores();
     let seed = seeds()[0];
     let cfg = SimConfig::asplos21(cores);
@@ -350,8 +334,7 @@ fn main() {
 
     let md = markdown(cores, seed, &points);
     print!("{md}");
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
+    std::fs::create_dir_all(out).unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
     let md_path = out.join("waterfall.md");
     std::fs::write(&md_path, &md)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", md_path.display()));

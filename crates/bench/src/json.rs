@@ -1,9 +1,9 @@
 //! A minimal JSON value: writer + parser, no external dependencies.
 //!
-//! The experiment binaries emit their aggregated results as JSON
-//! (`--json`) so downstream tooling and the CI smoke gate can consume
-//! them without scraping markdown, and the smoke gate reads its
-//! reference file back through [`Json::parse`]. The workspace builds
+//! The experiments emit their aggregated results as JSON so downstream
+//! tooling and the CI smoke gate can consume them without scraping
+//! markdown, and the smoke gate reads its reference file back through
+//! [`Json::parse`]. The workspace builds
 //! fully offline, so this stays hand-rolled instead of pulling in
 //! serde.
 

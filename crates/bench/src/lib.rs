@@ -1,26 +1,38 @@
 //! Shared experiment harness for the paper's evaluation (§8).
 //!
-//! Each table/figure of the paper has a binary in `src/bin/` built on the
-//! helpers here:
+//! Every table and figure of the paper is one entry of the
+//! [`experiments::EXPERIMENTS`] registry, run by the `experiments`
+//! binary, which writes `<out>/<name>.md` and `<out>/<name>.json`:
 //!
-//! | Binary | Regenerates |
+//! | Experiment | Regenerates |
 //! |---|---|
 //! | `table3` | Table 3 (simulator configuration) |
 //! | `fig9` | Figure 9 (8-core throughput, all designs, all benchmarks) |
-//! | `fig10` | Figure 10 (16/32/64-core sensitivity) |
 //! | `fig11` | Figure 11 (speculation-buffer size sensitivity) |
 //! | `fig12` | Figure 12 (persist-path latency sensitivity) |
 //! | `misspec` | §8.4 (misspeculation rates + synthetic inducer sweep) |
 //! | `ablation_detect` | Figure 4/6 (fetch- vs eviction-based detection) |
+//! | `ablation_checkpoint` | §6.3 (incremental checkpointing) |
+//! | `extended` | Figure 9 plus StrandWeaver |
+//! | `multi_pmc` | §7 (multiple PM controllers) |
+//! | `characterize` | WHISPER-style workload census |
+//! | `fig10` | Figure 10 (16/32/64-core sensitivity) |
+//!
+//! The other binaries in `src/bin/`:
+//!
+//! | Binary | Does |
+//! |---|---|
 //! | `explain` | cycle-accounting breakdown per design (+ Perfetto traces) |
 //! | `waterfall` | per-FASE latency waterfalls + p99 tail attribution |
-//! | `smoke` | CI gate: reduced grid vs `results/smoke_reference.json` |
+//! | `lint` | static persistency verifier over the sweep pool |
 //! | `crashfuzz` | crash-consistency fuzzer + persistency litmus suite |
+//! | `smoke` | CI gate: reduced grid vs `results/smoke_reference.json` |
+//! | `sim` | one simulation from the command line |
 //!
-//! Results print as markdown tables; every binary accepts the shared
-//! flag set parsed by [`BenchArgs`] (`--csv`, `--json`, `--serial`,
-//! `--jobs N`). Runs average several RNG seeds because lock-contention
-//! scheduling makes single runs noisy (±5%).
+//! Every binary accepts the shared flag set parsed by [`BenchArgs`]
+//! (`--out DIR`, `--json`, `--serial`, `--jobs N`). Runs average
+//! several RNG seeds because lock-contention scheduling makes single
+//! runs noisy (±5%).
 //!
 //! The grids themselves run on the [`sweep`] worker pool: points are
 //! independent deterministic simulations, so they fan out across host
@@ -30,18 +42,21 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
+pub mod experiments;
 pub mod json;
 pub mod lint;
 pub mod sweep;
+mod table;
 
 pub use args::BenchArgs;
 pub use json::Json;
 pub use sweep::{PointKey, PointResult, SweepResults, SweepSpec};
 
-use pmem_spec::RunReport;
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
 use pmemspec_workloads::Benchmark;
+
+use table::{Cell, Table};
 
 /// Seeds averaged per data point.
 pub const SEEDS: [u64; 3] = [11, 42, 1337];
@@ -85,35 +100,6 @@ pub fn default_fases(benchmark: Benchmark) -> usize {
     }
 }
 
-/// Runs one (benchmark, design) point and returns the simulated
-/// throughput in FASEs per second, averaged over [`seeds`].
-///
-/// Shares the sweep harness's memoized generate/lower path, so
-/// repeated calls against the same workload (e.g. the IntelX86
-/// baseline of a normalization) do not regenerate identical inputs.
-pub fn throughput(benchmark: Benchmark, design: DesignKind, cfg: &SimConfig, fases: usize) -> f64 {
-    let seeds = seeds();
-    let mut sum = 0.0;
-    for &seed in seeds {
-        let (report, note) = sweep::run_point(benchmark, design, cfg, fases, seed);
-        if let Some(note) = note {
-            eprintln!("{note}");
-        }
-        sum += report.throughput();
-    }
-    sum / seeds.len() as f64
-}
-
-/// Runs one point and returns the full report (first seed only).
-pub fn run_once(
-    benchmark: Benchmark,
-    design: DesignKind,
-    cfg: &SimConfig,
-    fases: usize,
-) -> RunReport {
-    sweep::run_point(benchmark, design, cfg, fases, seeds()[0]).0
-}
-
 /// A row of normalized throughputs: benchmark label plus one relative
 /// value per design, normalized to IntelX86.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +111,7 @@ pub struct NormalizedRow {
     pub relative: Vec<f64>,
 }
 
-/// The sweep grid behind [`normalized_suite_for`]: every benchmark
+/// The sweep grid behind [`normalized_suite_with`]: every benchmark
 /// under every design (plus the IntelX86 baseline) for every seed.
 pub fn suite_spec(
     cfg: &SimConfig,
@@ -152,9 +138,7 @@ pub fn suite_rows(
     results: &SweepResults,
     designs: &[DesignKind],
     seeds: &[u64],
-    fases: impl Fn(Benchmark) -> usize,
 ) -> Vec<NormalizedRow> {
-    let _ = fases; // the grid fixed the FASE counts; kept for symmetry
     Benchmark::ALL
         .iter()
         .map(|&b| {
@@ -186,17 +170,7 @@ pub fn normalized_suite_with(
 ) -> Vec<NormalizedRow> {
     let spec = suite_spec(cfg, designs, seeds(), default_fases);
     let results = spec.run(args);
-    suite_rows(&results, designs, seeds(), default_fases)
-}
-
-/// [`normalized_suite_with`] using the process's command line.
-pub fn normalized_suite_for(cfg: &SimConfig, designs: &[DesignKind]) -> Vec<NormalizedRow> {
-    normalized_suite_with(cfg, designs, &BenchArgs::parse())
-}
-
-/// Runs the paper's four designs (Figure 9/10).
-pub fn normalized_suite(cfg: &SimConfig) -> Vec<NormalizedRow> {
-    normalized_suite_for(cfg, &DesignKind::ALL)
+    suite_rows(&results, designs, seeds())
 }
 
 /// Geometric mean of the rows, per design.
@@ -213,47 +187,26 @@ pub fn geomeans(rows: &[NormalizedRow]) -> Vec<f64> {
         .collect()
 }
 
-/// Prints rows as a markdown (or CSV) table with a geomean footer.
-pub fn print_suite_with(
-    args: &BenchArgs,
-    title: &str,
-    designs: &[DesignKind],
-    rows: &[NormalizedRow],
-) {
-    let csv = args.csv;
-    let labels: Vec<&str> = designs.iter().map(|d| d.label()).collect();
-    let fmt_row = |vals: &[f64], digits: usize| -> String {
-        vals.iter()
-            .map(|v| format!("{v:.digits$}"))
-            .collect::<Vec<_>>()
-            .join(if csv { "," } else { " | " })
+/// Rows as a markdown table with a geomean footer and a trailing
+/// blank line.
+pub fn suite_markdown(title: &str, designs: &[DesignKind], rows: &[NormalizedRow]) -> String {
+    let mut columns = vec![("benchmark", "benchmark")];
+    columns.extend(designs.iter().map(|d| (d.label(), d.label())));
+    let mut table = Table::new(title, &columns);
+    let row = |label: &str, values: &[f64]| {
+        let mut cells = vec![Cell::text(label)];
+        cells.extend(values.iter().map(|&v| Cell::fixed(v, 2)));
+        cells
     };
-    if csv {
-        println!("benchmark,{}", labels.join(","));
-        for row in rows {
-            println!("{},{}", row.label, fmt_row(&row.relative, 4));
-        }
-        println!("geomean,{}", fmt_row(&geomeans(rows), 4));
-    } else {
-        println!("## {title}");
-        println!();
-        println!("| benchmark | {} |", labels.join(" | "));
-        println!("|---|{}", "---|".repeat(labels.len()));
-        for row in rows {
-            println!("| {} | {} |", row.label, fmt_row(&row.relative, 2));
-        }
-        println!("| **geomean** | {} |", fmt_row(&geomeans(rows), 2));
-        println!();
+    for r in rows {
+        table.push(row(&r.label, &r.relative));
     }
+    table.push(row("**geomean**", &geomeans(rows)));
+    table.markdown() + "\n"
 }
 
-/// [`print_suite_with`] for the paper's four designs.
-pub fn print_suite(args: &BenchArgs, title: &str, rows: &[NormalizedRow]) {
-    print_suite_with(args, title, &DesignKind::ALL, rows);
-}
-
-/// Normalized suite rows as a JSON document (the `--json` payload of
-/// the figure binaries).
+/// Normalized suite rows as a JSON document (the JSON artifact of the
+/// suite figures).
 pub fn suite_json(
     figure: &str,
     cores: usize,
@@ -346,13 +299,6 @@ mod tests {
         assert!((g[1] - 1.0).abs() < 1e-9);
         assert!((g[2] - 2.0).abs() < 1e-9);
         assert!((g[3] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_helper_runs() {
-        let cfg = SimConfig::asplos21(2);
-        let t = throughput(Benchmark::ArraySwaps, DesignKind::PmemSpec, &cfg, 10);
-        assert!(t > 0.0);
     }
 
     #[test]

@@ -430,8 +430,9 @@ fn memo() -> &'static Memo {
 }
 
 /// Drops every memoized program. Called at the start of each
-/// [`SweepSpec::run`] so long multi-sweep binaries (fig10 runs three
-/// grids) do not accumulate dead programs.
+/// [`SweepSpec::run`] so multi-sweep runs (fig10 runs three grids; the
+/// `experiments` binary runs every grid in one process) do not
+/// accumulate dead programs.
 pub fn clear_memo() {
     memo().generated.lock().expect("memo lock").clear();
     memo().lowered.lock().expect("memo lock").clear();

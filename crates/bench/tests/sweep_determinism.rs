@@ -37,8 +37,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     }
 
     // And the reduced NormalizedRows are bit-identical.
-    let serial_rows = suite_rows(&serial, &DesignKind::ALL, seeds, fases);
-    let parallel_rows = suite_rows(&parallel, &DesignKind::ALL, seeds, fases);
+    let serial_rows = suite_rows(&serial, &DesignKind::ALL, seeds);
+    let parallel_rows = suite_rows(&parallel, &DesignKind::ALL, seeds);
     assert_eq!(serial_rows.len(), parallel_rows.len());
     for (s, p) in serial_rows.iter().zip(&parallel_rows) {
         assert_eq!(s.label, p.label);
