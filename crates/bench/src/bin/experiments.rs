@@ -1,16 +1,18 @@
 //! `experiments [NAME ...] [--out DIR] [--serial] [--jobs N]`: runs
-//! entries of the experiment registry and writes `<DIR>/<name>.md` and
-//! `<DIR>/<name>.json` for each (default `results`).
+//! entries of the experiment registry and writes their files under
+//! `DIR` (default `results`).
 //!
 //! With no names it runs the whole registry in order, `fig10` last.
 //! Each experiment prints its markdown to stdout and
-//! `== <name>: N.NNNs` to stderr. An unknown name exits non-zero,
-//! listing the valid ones, before anything runs.
+//! `== <name>: N.NNNs` (plus the peak RSS so far) to stderr. An
+//! unknown name or flag exits 1, listing the valid ones, before
+//! anything runs. A failed check (lint finding, oracle violation,
+//! model mismatch, ...) prints its reproducer to stderr and makes the
+//! run exit 1 once every selected experiment has written its files.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use pmemspec_bench::experiments::{select, EXPERIMENTS};
+use pmemspec_bench::experiments::{run, select, EXPERIMENTS};
 use pmemspec_bench::BenchArgs;
 
 fn main() -> ExitCode {
@@ -26,23 +28,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let out = &args.out;
-    std::fs::create_dir_all(out).unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
-    for (name, run) in selected {
-        let started = Instant::now();
-        let artifact = run(&args);
-        print!("{}", artifact.markdown);
-        for (path, contents) in [
-            (out.join(format!("{name}.md")), artifact.markdown),
-            (
-                out.join(format!("{name}.json")),
-                artifact.json.render_pretty(),
-            ),
-        ] {
-            std::fs::write(&path, contents)
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    match run(&selected, &args) {
+        0 => ExitCode::SUCCESS,
+        failures => {
+            eprintln!("experiments: {failures} failed check(s)");
+            ExitCode::FAILURE
         }
-        eprintln!("== {name}: {:.3}s", started.elapsed().as_secs_f64());
     }
-    ExitCode::SUCCESS
 }

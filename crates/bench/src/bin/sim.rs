@@ -12,15 +12,21 @@
 //! `--seed N` `--persist-path-ns N` `--spec-buffer N` `--controllers N`
 //! `--unordered-network` `--eager-recovery` `--trace <path>` `--csv`
 //! `--list`.
+//!
+//! `--trace` writes a Chrome/Perfetto trace (open in
+//! <https://ui.perfetto.dev>): the instruction timeline on per-core
+//! lanes plus a `pmc` lane, the profiler's queue-occupancy counter
+//! tracks, and each committed FASE as a named slice with its phase
+//! sub-slices. Tracing observes only; the report is unchanged.
 
 use std::process::ExitCode;
 
 use pmem_spec::spec_buffer::DetectionMode;
-use pmem_spec::{RecoveryPolicy, System, TraceRecorder};
+use pmem_spec::{RecoveryPolicy, SpanTracer, System, TraceRecorder};
 use pmemspec_engine::clock::Duration;
 use pmemspec_engine::config::PmcNetworkOrder;
 use pmemspec_engine::SimConfig;
-use pmemspec_isa::{lower_program, DesignKind};
+use pmemspec_isa::{lower_program_with_meta, DesignKind};
 use pmemspec_workloads::{Benchmark, WorkloadParams};
 
 struct Options {
@@ -173,7 +179,7 @@ fn main() -> ExitCode {
         .with_fases(opts.fases)
         .with_seed(opts.seed);
     let generated = opts.bench.generate(&params);
-    let program = lower_program(opts.design, &generated.program);
+    let (program, meta) = lower_program_with_meta(opts.design, &generated.program);
     let system = match System::with_options(cfg, program, policy, DetectionMode::EvictionBased) {
         Ok(s) => s,
         Err(e) => {
@@ -181,15 +187,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut trace = TraceRecorder::new(opts.cores);
-    let report = if opts.trace.is_some() {
-        system.run_with(&mut trace).0
-    } else {
-        system.run()
+    let mut probe = opts.trace.is_some().then(|| {
+        (
+            SpanTracer::new(&system, &meta),
+            TraceRecorder::new(opts.cores),
+        )
+    });
+    let report = match &mut probe {
+        Some(probe) => system.run_with(probe).0,
+        None => system.run(),
     };
 
-    if let Some(path) = &opts.trace {
-        match std::fs::File::create(path).and_then(|f| trace.write_chrome_trace(f)) {
+    if let (Some(path), Some((spans, mut trace))) = (&opts.trace, probe) {
+        let (profile, spans) = spans.report();
+        profile.add_counter_tracks(&mut trace);
+        spans.add_fase_tracks(&mut trace);
+        match std::fs::File::create(path)
+            .and_then(|f| trace.write_chrome_trace(std::io::BufWriter::new(f)))
+        {
             Ok(()) => eprintln!("wrote {} trace events to {path}", trace.len()),
             Err(e) => {
                 eprintln!("error writing trace: {e}");

@@ -83,8 +83,11 @@ fn bucket_fractions(args: &BenchArgs, seed: u64) -> Vec<(DesignKind, [f64; Bucke
 }
 
 fn main() -> ExitCode {
-    let args = BenchArgs::parse();
-    let update = std::env::args().any(|a| a == "--update");
+    // `--update` is this binary's own flag; the rest is the shared set.
+    let (update, rest): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a == "--update");
+    let update = !update.is_empty();
+    let args = BenchArgs::parse_from(rest);
     let seeds = &SEEDS[..1];
 
     let cfg = SimConfig::asplos21(CORES);

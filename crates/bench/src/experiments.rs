@@ -1,15 +1,16 @@
 //! The experiment registry: every table and figure of the paper's
-//! evaluation (§8), the §5/§6.3 ablations and the extensions, as one
-//! named function each.
+//! evaluation (§8), the §5/§6.3 ablations, the extensions, and the
+//! validation artifacts (cycle breakdown, static lint, crash fuzzer,
+//! exhaustive model check), as one named function each.
 //!
 //! An experiment runs its grid on the shared worker pool and returns an
-//! [`Artifact`] — the markdown and JSON renderings of its results. The
-//! `experiments` binary runs registry entries by name and writes
-//! `<out>/<name>.md` and `<out>/<name>.json`; which artifacts exist,
-//! and in which order a full regeneration produces them, is exactly
-//! [`EXPERIMENTS`].
+//! [`Output`]: the files it renders and the checks it failed. [`run`]
+//! writes every file under `--out`, whether or not a check failed;
+//! which artifacts exist, and in which order a full regeneration
+//! produces them, is exactly [`EXPERIMENTS`].
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use pmem_spec::spec_buffer::DetectionMode;
 use pmem_spec::{RecoveryPolicy, RunReport, System};
@@ -19,6 +20,9 @@ use pmemspec_engine::SimConfig;
 use pmemspec_isa::{lower_program, AbsProgram, DesignKind};
 use pmemspec_workloads::{characterize, synthetic, Benchmark, WorkloadParams};
 
+use crate::breakdown::breakdown;
+use crate::crashfuzz::{crashfuzz, litmus_exhaustive};
+use crate::lint::lint;
 use crate::sweep::{generated_program, parallel_map, worker_count};
 use crate::table::{Cell, Table};
 use crate::{
@@ -26,37 +30,52 @@ use crate::{
     suite_json, suite_markdown, BenchArgs, Json, SweepResults, SweepSpec,
 };
 
-/// One experiment's output: the markdown artifact and the JSON
-/// artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Artifact {
-    /// The `<name>.md` contents.
-    pub markdown: String,
-    /// The `<name>.json` document.
-    pub json: Json,
+/// One experiment's output.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Output {
+    /// `(file name, contents)` pairs, written under `--out` in order.
+    pub files: Vec<(String, String)>,
+    /// One line per failed check, each with its reproducer.
+    pub failures: Vec<String>,
 }
 
-impl Artifact {
-    /// The common layout: the tables' markdown separated by blank
-    /// lines, and `{"figure": name, key: [row objects], ...}`.
-    fn tables(name: &str, sections: &[(&str, &Table)]) -> Artifact {
-        let markdown = sections
-            .iter()
-            .map(|(_, t)| t.markdown())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let mut json = vec![("figure".to_string(), Json::Str(name.into()))];
-        json.extend(sections.iter().map(|(k, t)| (k.to_string(), t.json_rows())));
-        Artifact {
-            markdown,
-            json: Json::Obj(json),
-        }
+impl Output {
+    /// `<name>.md` and `<name>.json`, no failures.
+    pub fn pair(name: &str, markdown: String, json: &Json) -> Output {
+        Output::default().with_pair(name, markdown, json)
     }
+
+    /// Adds `<name>.md` and `<name>.json`.
+    pub fn with_pair(mut self, name: &str, markdown: String, json: &Json) -> Output {
+        self.files.push((format!("{name}.md"), markdown));
+        self.files
+            .push((format!("{name}.json"), json.render_pretty()));
+        self
+    }
+}
+
+/// The common layout: the tables' markdown separated by blank lines,
+/// and `{"figure": name, key: [row objects], ...}`.
+fn tables(name: &str, sections: &[(&str, &Table)]) -> (String, Json) {
+    let markdown = sections
+        .iter()
+        .map(|(_, t)| t.markdown())
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut json = vec![("figure".to_string(), Json::Str(name.into()))];
+    json.extend(sections.iter().map(|(k, t)| (k.to_string(), t.json_rows())));
+    (markdown, Json::Obj(json))
+}
+
+/// [`tables`] as the `<name>.md` / `<name>.json` pair.
+fn tables_output(name: &str, sections: &[(&str, &Table)]) -> Output {
+    let (markdown, json) = tables(name, sections);
+    Output::pair(name, markdown, &json)
 }
 
 /// An experiment: runs its grid under the shared flags and renders
 /// the result.
-pub type Experiment = fn(&BenchArgs) -> Artifact;
+pub type Experiment = fn(&BenchArgs) -> Output;
 
 /// Every experiment, in the order a full regeneration runs them
 /// (`fig10`, by far the most expensive, last).
@@ -71,6 +90,10 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("extended", extended),
     ("multi_pmc", multi_pmc),
     ("characterize", characterize),
+    ("breakdown", breakdown),
+    ("lint", lint),
+    ("crashfuzz", crashfuzz),
+    ("litmus_exhaustive", litmus_exhaustive),
     ("fig10", fig10),
 ];
 
@@ -93,8 +116,51 @@ pub fn select(names: &[String]) -> Result<Vec<(&'static str, Experiment)>, Strin
         .collect()
 }
 
+/// Runs `selected` in order. Each experiment's files are written under
+/// `args.out` (its markdown files are also printed to stdout), then
+/// `== <name>: N.NNNs` goes to stderr — followed by the process's peak
+/// RSS so far where `/proc/self/status` has it — and then one line per
+/// failed check. Returns the number of failures.
+///
+/// # Panics
+///
+/// Panics if `args.out` or a file in it cannot be written: experiment
+/// output going missing should fail the run loudly.
+pub fn run(selected: &[(&str, Experiment)], args: &BenchArgs) -> usize {
+    let out = &args.out;
+    std::fs::create_dir_all(out).unwrap_or_else(|e| panic!("cannot create {}: {e}", out.display()));
+    let mut failures = 0;
+    for (name, experiment) in selected {
+        let started = Instant::now();
+        let output = experiment(args);
+        for (file, contents) in &output.files {
+            if file.ends_with(".md") {
+                print!("{contents}");
+            }
+            let path = out.join(file);
+            std::fs::write(&path, contents)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        }
+        let peak = peak_rss().map_or(String::new(), |kb| format!(", VmHWM {kb} kB"));
+        eprintln!("== {name}: {:.3}s{peak}", started.elapsed().as_secs_f64());
+        for failure in &output.failures {
+            eprintln!("{name} FAILED: {failure}");
+        }
+        failures += output.failures.len();
+    }
+    failures
+}
+
+/// The process's peak resident set size in kB (`VmHWM` in
+/// `/proc/self/status`), where the platform reports it.
+fn peak_rss() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 /// Table 3: the simulator configuration.
-fn table3(_: &BenchArgs) -> Artifact {
+fn table3(_: &BenchArgs) -> Output {
     let cfg = SimConfig::asplos21(8);
     let mut table = Table::new(
         "Table 3: simulator configuration",
@@ -173,10 +239,7 @@ fn table3(_: &BenchArgs) -> Artifact {
         ]
         .map(|(k, v)| (k.to_string(), Json::Num(v as f64))),
     );
-    Artifact {
-        markdown,
-        json: Json::Obj(json),
-    }
+    Output::pair("table3", markdown, &Json::Obj(json))
 }
 
 /// The suite figures: every benchmark under `designs` at `cores`,
@@ -187,12 +250,13 @@ fn suite_figure(
     title: &str,
     cores: usize,
     designs: &[DesignKind],
-) -> Artifact {
+) -> Output {
     let rows = normalized_suite_with(&SimConfig::asplos21(cores), designs, args);
-    Artifact {
-        markdown: suite_markdown(title, designs, &rows),
-        json: suite_json(name, cores, designs, &rows),
-    }
+    Output::pair(
+        name,
+        suite_markdown(title, designs, &rows),
+        &suite_json(name, cores, designs, &rows),
+    )
 }
 
 /// Figure 9: throughput of all four designs on the eight benchmarks in
@@ -201,7 +265,7 @@ fn suite_figure(
 /// Paper: PMEM-Spec 1.272x the baseline and 1.106x HOPS on average; DPO
 /// below the baseline; Queue/Hashmap show the smallest gains;
 /// Vacation/Memcached benefit from long transactions.
-fn fig9(args: &BenchArgs) -> Artifact {
+fn fig9(args: &BenchArgs) -> Output {
     let cores = suite_cores();
     suite_figure(
         args,
@@ -220,7 +284,7 @@ fn fig9(args: &BenchArgs) -> Artifact {
 /// PMEM-Spec — it removes cross-FASE drain dependencies (each FASE is a
 /// strand) but still pays intra-strand persist-barriers between the log
 /// and data phases, which PMEM-Spec's FIFO path eliminates entirely.
-fn extended(args: &BenchArgs) -> Artifact {
+fn extended(args: &BenchArgs) -> Output {
     let cores = suite_cores();
     suite_figure(
         args,
@@ -235,7 +299,7 @@ fn extended(args: &BenchArgs) -> Artifact {
 ///
 /// Paper: PMEM-Spec outperforms the baseline/HOPS by 18.8%/8.2% (16),
 /// 18.2%/8.0% (32) and 17.1%/10% (64); DPO degrades with core count.
-fn fig10(args: &BenchArgs) -> Artifact {
+fn fig10(args: &BenchArgs) -> Output {
     let mut markdown = String::new();
     let mut sections = Vec::new();
     for cores in [16usize, 32, 64] {
@@ -254,13 +318,14 @@ fn fig10(args: &BenchArgs) -> Artifact {
         );
         sections.push(suite_json("fig10", cores, &DesignKind::ALL, &rows));
     }
-    Artifact {
+    Output::pair(
+        "fig10",
         markdown,
-        json: Json::obj([
+        &Json::obj([
             ("figure".into(), Json::Str("fig10".into())),
             ("sections".into(), Json::Arr(sections)),
         ]),
-    }
+    )
 }
 
 /// Geometric mean throughput of PMEM-Spec over every benchmark and
@@ -293,7 +358,7 @@ fn pmemspec_geomean(
 /// configuration; no overflows at 16 entries. The buffer only fills on
 /// dirty-LLC-eviction bursts, so this experiment runs with the scaled
 /// LLC (see EXPERIMENTS.md).
-fn fig11(args: &BenchArgs) -> Artifact {
+fn fig11(args: &BenchArgs) -> Output {
     let sizes = [1usize, 2, 4, 8, 16];
     let mut spec = SweepSpec::new(
         sizes
@@ -327,7 +392,7 @@ fn fig11(args: &BenchArgs) -> Artifact {
             Cell::count(overflows),
         ]);
     }
-    Artifact::tables("fig11", &[("rows", &table)])
+    tables_output("fig11", &[("rows", &table)])
 }
 
 /// Figure 12: geomean throughput of HOPS and PMEM-Spec vs persist-path
@@ -336,7 +401,7 @@ fn fig11(args: &BenchArgs) -> Artifact {
 ///
 /// Paper: both stay above the baseline across the sweep because the
 /// durability barrier is infrequent.
-fn fig12(args: &BenchArgs) -> Artifact {
+fn fig12(args: &BenchArgs) -> Output {
     let latencies = [20u64, 40, 60, 80, 100];
     let designs = [DesignKind::Hops, DesignKind::PmemSpec];
     let base_cfg = SimConfig::asplos21(8);
@@ -383,7 +448,7 @@ fn fig12(args: &BenchArgs) -> Artifact {
         );
         table.push(row);
     }
-    Artifact::tables("fig12", &[("rows", &table)])
+    tables_output("fig12", &[("rows", &table)])
 }
 
 /// Runs `n` independent PMEM-Spec systems on the worker pool, point
@@ -408,7 +473,7 @@ fn run_systems(
 /// Part 2 — the synthetic inducer (store; evict all the way to PM;
 /// reload) produces load misspeculation only at several times the
 /// realistic persist-path latency, and recovery preserves every FASE.
-fn misspec(args: &BenchArgs) -> Artifact {
+fn misspec(args: &BenchArgs) -> Output {
     let seed = WorkloadParams::small(8).seed;
     let mut spec = SweepSpec::new(vec![SimConfig::asplos21(8)]);
     for b in Benchmark::ALL {
@@ -462,7 +527,7 @@ fn misspec(args: &BenchArgs) -> Artifact {
             Cell::count(r.fases_committed),
         ]);
     }
-    Artifact::tables("misspec", &[("suite", &suite), ("inducer", &inducer)])
+    tables_output("misspec", &[("suite", &suite), ("inducer", &inducer)])
 }
 
 /// Figure 4 / §5.1.3 ablation: fetch-based vs eviction-based detection.
@@ -471,7 +536,7 @@ fn misspec(args: &BenchArgs) -> Artifact {
 /// miss's write-allocate fetch is flagged as a misspeculation by that
 /// store's own persist — pure false positives that cost a recovery each.
 /// The final eviction-based design is silent on the same program.
-fn ablation_detect(args: &BenchArgs) -> Artifact {
+fn ablation_detect(args: &BenchArgs) -> Output {
     // A 40 ns path (just above the 31 ns regular path) makes each store
     // miss's own persist trail its write-allocate fetch at the controller
     // — the situation Figure 4 describes. No true staleness exists at
@@ -511,13 +576,13 @@ fn ablation_detect(args: &BenchArgs) -> Artifact {
             Cell::count(r.total_time.as_ns()),
         ]);
     }
-    let mut artifact = Artifact::tables("ablation_detect", &[("rows", &table)]);
+    let (mut markdown, json) = tables("ablation_detect", &[("rows", &table)]);
     let slowdown = reports[0].total_time.as_ns() as f64 / reports[1].total_time.as_ns() as f64;
     let _ = writeln!(
-        artifact.markdown,
+        markdown,
         "\nFalse misspeculation slows the strawman down {slowdown:.2}x."
     );
-    artifact
+    Output::pair("ablation_detect", markdown, &json)
 }
 
 /// §6.3 ablation: incremental checkpointing bounds misspeculation
@@ -528,7 +593,7 @@ fn ablation_detect(args: &BenchArgs) -> Artifact {
 /// paper cites iDO-style region partitioning reaching 400x faster
 /// recovery for some long FASEs; the ratio here scales with how much
 /// work precedes the misspeculating region.
-fn ablation_checkpoint(args: &BenchArgs) -> Artifact {
+fn ablation_checkpoint(args: &BenchArgs) -> Output {
     const SEGMENTS: [usize; 3] = [2, 8, 32];
     let cfg = SimConfig::asplos21(1).with_persist_path_latency(Duration::from_ns(500));
     // Whole-FASE recovery for every prefix length, then checkpointed.
@@ -563,17 +628,17 @@ fn ablation_checkpoint(args: &BenchArgs) -> Artifact {
             Cell::count(r.stats.counter("fase.partial_aborts")),
         ]);
     }
-    let mut artifact = Artifact::tables("ablation_checkpoint", &[("rows", &table)]);
-    artifact.markdown.push('\n');
+    let (mut markdown, json) = tables("ablation_checkpoint", &[("rows", &table)]);
+    markdown.push('\n');
     let (plain, checkpointed) = reports.split_at(SEGMENTS.len());
     for ((segments, plain), ck) in SEGMENTS.iter().zip(plain).zip(checkpointed) {
         let _ = writeln!(
-            artifact.markdown,
+            markdown,
             "{segments} prefix regions: checkpointing saves {:.1}% of run time",
             (1.0 - ck.total_time.as_ns() as f64 / plain.total_time.as_ns() as f64) * 100.0
         );
     }
-    artifact
+    Output::pair("ablation_checkpoint", markdown, &json)
 }
 
 /// §7 extension: multiple PM controllers.
@@ -586,7 +651,7 @@ fn ablation_checkpoint(args: &BenchArgs) -> Artifact {
 /// per-controller persist routes, a congestion-inducing program inverts a
 /// single thread's persist order (undetectable by per-controller
 /// speculation buffers); the order-preserving network eliminates it.
-fn multi_pmc(args: &BenchArgs) -> Artifact {
+fn multi_pmc(args: &BenchArgs) -> Output {
     let controllers = [1usize, 2, 4];
     let one_seed = &seeds()[..1];
     let mut spec = SweepSpec::new(
@@ -645,14 +710,14 @@ fn multi_pmc(args: &BenchArgs) -> Artifact {
             Cell::count(r.fases_committed),
         ]);
     }
-    Artifact::tables("multi_pmc", &[("scaling", &scaling), ("hazard", &hazard)])
+    tables_output("multi_pmc", &[("scaling", &scaling), ("hazard", &hazard)])
 }
 
 /// WHISPER-style census of the benchmark suite: static FASE shapes plus
 /// the dynamic inter-thread dependency counts that §8.4's store-
 /// misspeculation-rarity argument rests on ("typical PM applications have
 /// almost zero inter-thread dependencies in a 50 micro-second window").
-fn characterize(args: &BenchArgs) -> Artifact {
+fn characterize(args: &BenchArgs) -> Output {
     let fases_for = |b: Benchmark| if b == Benchmark::Memcached { 100 } else { 300 };
     let seed = WorkloadParams::small(8).seed;
     let mut spec = SweepSpec::new(vec![SimConfig::asplos21(8)]);
@@ -698,14 +763,14 @@ fn characterize(args: &BenchArgs) -> Artifact {
             Cell::count(r.stats.counter("whisper.raw_within_spec_window")),
         ]);
     }
-    let mut artifact = Artifact::tables("characterize", &[("rows", &table)]);
-    artifact.markdown.push_str(
+    let (mut markdown, json) = tables("characterize", &[("rows", &table)]);
+    markdown.push_str(
         "\nWAW≤window counts same-line persists from different threads within the \
          speculation window (160 ns at 8 cores) — the store-misspeculation surface. \
          Store misspeculation additionally needs the later critical section's persist \
          to *arrive first*, which never happened in any run (§8.4).\n",
     );
-    artifact
+    Output::pair("characterize", markdown, &json)
 }
 
 #[cfg(test)]
@@ -730,10 +795,14 @@ mod tests {
             "extended",
             "multi_pmc",
             "characterize",
+            "breakdown",
+            "lint",
+            "crashfuzz",
+            "litmus_exhaustive",
         ] {
             assert!(names.contains(&expected), "{expected} missing");
         }
-        assert_eq!(EXPERIMENTS.len(), 11);
+        assert_eq!(EXPERIMENTS.len(), 15);
     }
 
     #[test]
@@ -750,16 +819,34 @@ mod tests {
         );
     }
 
+    /// Every file of `output` equals its committed copy under
+    /// `results/`, and no check failed.
+    fn assert_matches_committed(output: &Output) {
+        assert!(output.failures.is_empty(), "{:?}", output.failures);
+        for (file, contents) in &output.files {
+            let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+            let committed =
+                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(*contents == committed, "{file} differs from {path}");
+        }
+    }
+
     /// Table 3 runs no simulation, so its artifact can be checked
     /// against the committed copy directly.
     #[test]
     fn table3_matches_the_committed_artifact() {
-        let read = |file: &str| {
-            let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-        };
-        let artifact = table3(&BenchArgs::default());
-        assert_eq!(artifact.markdown, read("table3.md"));
-        assert_eq!(artifact.json.render_pretty(), read("table3.json"));
+        let output = table3(&BenchArgs::default());
+        assert_eq!(output.files.len(), 2);
+        assert_matches_committed(&output);
+    }
+
+    /// The exhaustive model check is independent of `PMEMSPEC_SMOKE`
+    /// and its 30 pairs have at most a few hundred states each, so the
+    /// committed report can be regenerated in a debug build.
+    #[test]
+    fn litmus_exhaustive_matches_the_committed_artifact() {
+        let output = litmus_exhaustive(&BenchArgs::default());
+        assert_eq!(output.files.len(), 2);
+        assert_matches_committed(&output);
     }
 }

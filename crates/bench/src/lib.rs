@@ -1,8 +1,9 @@
 //! Shared experiment harness for the paper's evaluation (§8).
 //!
-//! Every table and figure of the paper is one entry of the
+//! Every table, figure and validation artifact is one entry of the
 //! [`experiments::EXPERIMENTS`] registry, run by the `experiments`
-//! binary, which writes `<out>/<name>.md` and `<out>/<name>.json`:
+//! binary, which writes each entry's files under `--out` (default
+//! `results`) and exits 1 if any entry's checks failed:
 //!
 //! | Experiment | Regenerates |
 //! |---|---|
@@ -16,21 +17,21 @@
 //! | `extended` | Figure 9 plus StrandWeaver |
 //! | `multi_pmc` | §7 (multiple PM controllers) |
 //! | `characterize` | WHISPER-style workload census |
+//! | `breakdown` | cycle-accounting breakdown + per-FASE waterfalls |
+//! | `lint` | static persistency verifier over the sweep pool |
+//! | `crashfuzz` | persistency litmus suite + crash-consistency fuzzer |
+//! | `litmus_exhaustive` | exhaustive litmus model check vs the axioms |
 //! | `fig10` | Figure 10 (16/32/64-core sensitivity) |
 //!
 //! The other binaries in `src/bin/`:
 //!
 //! | Binary | Does |
 //! |---|---|
-//! | `explain` | cycle-accounting breakdown per design (+ Perfetto traces) |
-//! | `waterfall` | per-FASE latency waterfalls + p99 tail attribution |
-//! | `lint` | static persistency verifier over the sweep pool |
-//! | `crashfuzz` | crash-consistency fuzzer + persistency litmus suite |
 //! | `smoke` | CI gate: reduced grid vs `results/smoke_reference.json` |
-//! | `sim` | one simulation from the command line |
+//! | `sim` | one simulation from the command line (+ Perfetto trace) |
 //!
-//! Every binary accepts the shared flag set parsed by [`BenchArgs`]
-//! (`--out DIR`, `--json`, `--serial`, `--jobs N`). Runs average
+//! `experiments` and `smoke` accept the shared flag set parsed by
+//! [`BenchArgs`] (`--out DIR`, `--serial`, `--jobs N`). Runs average
 //! several RNG seeds because lock-contention scheduling makes single
 //! runs noisy (±5%).
 //!
@@ -42,6 +43,8 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
+mod breakdown;
+mod crashfuzz;
 pub mod experiments;
 pub mod json;
 pub mod lint;
@@ -246,25 +249,6 @@ pub fn suite_json(
             Json::Arr(geomeans(rows).into_iter().map(Json::Num).collect()),
         ),
     ])
-}
-
-/// Writes a binary's `--json` payload to its target path (creating
-/// `results/` if needed). No-op without `--json`.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written — experiment output going
-/// missing should fail the run loudly.
-pub fn write_json(args: &BenchArgs, name: &str, doc: &Json) {
-    let Some(path) = args.json_target(name) else {
-        return;
-    };
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-    }
-    std::fs::write(&path, doc.render_pretty())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 /// The configuration used by Figure 11: the speculation buffer only sees

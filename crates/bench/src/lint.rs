@@ -1,17 +1,19 @@
-//! The static-lint sweep: every workload × every design through the
+//! The `lint` experiment: every workload × every design through the
 //! persistency verifier ([`pmemspec_analyze`]), no simulation.
 //!
 //! The grid is fixed (8 threads, full-size FASE counts, one seed) and
 //! independent of [`crate::smoke_mode`], so `results/lint.{md,json}`
 //! are byte-stable across environments; CI regenerates them and diffs.
 //! Rendering walks the grid in spec order, so pooled and serial runs
-//! produce identical bytes (pinned by `tests/static_lints.rs`).
+//! produce identical bytes (pinned by `tests/static_lints.rs`). Every
+//! finding is a failure of the experiment.
 
 use pmemspec_analyze::{analyze_program, LintReport, Rule};
 use pmemspec_isa::{lower_program_with_meta, DesignKind};
 use pmemspec_workloads::Benchmark;
 
-use crate::{sweep, Json};
+use crate::experiments::Output;
+use crate::{sweep, BenchArgs, Json};
 
 /// Threads per workload program (the main suite's core count).
 pub const LINT_THREADS: usize = 8;
@@ -38,6 +40,27 @@ pub struct LintPoint {
     pub fases: usize,
     /// The analyzer's verdict.
     pub report: LintReport,
+}
+
+/// Analyzes and renders the full grid; each finding is a failure.
+pub fn lint(args: &BenchArgs) -> Output {
+    let points = lint_grid(sweep::worker_count(args));
+    let failures = points
+        .iter()
+        .flat_map(|p| {
+            p.report.findings.iter().map(move |f| {
+                format!(
+                    "{} / {}: {f}; reproduce with: experiments lint",
+                    p.design.label(),
+                    p.benchmark.label()
+                )
+            })
+        })
+        .collect();
+    Output {
+        failures,
+        ..Output::pair("lint", markdown(&points), &json_doc(&points))
+    }
 }
 
 /// Analyzes the full grid on `workers` pool threads, in spec order
@@ -91,7 +114,7 @@ pub fn markdown(points: &[LintPoint]) -> String {
          coverage (IntelX86), FASE durability, and speculation tagging \
          (PMEM-Spec) — no simulation. {LINT_THREADS} threads, seed \
          {LINT_SEED}, full-size FASE counts. Regenerate with \
-         `cargo run --release --bin lint`."
+         `cargo run --release -p pmemspec-bench --bin experiments -- lint`."
     );
     let _ = writeln!(md);
     let _ = writeln!(md, "## Verdict");

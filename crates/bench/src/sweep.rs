@@ -661,7 +661,7 @@ mod tests {
     fn worker_count_honors_serial_and_jobs() {
         let serial = BenchArgs::serial();
         assert_eq!(worker_count(&serial), 1);
-        let jobs = BenchArgs::from_iter(["--jobs", "3"]);
+        let jobs = BenchArgs::try_parse(["--jobs", "3"]).expect("valid flags");
         assert_eq!(worker_count(&jobs), 3);
     }
 }

@@ -19,7 +19,7 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let spec = suite_spec(&cfg, &DesignKind::ALL, seeds, fases);
 
     let serial = spec.run(&BenchArgs::serial());
-    let parallel = spec.run(&BenchArgs::from_iter(["--jobs", "4"]));
+    let parallel = spec.run(&BenchArgs::try_parse(["--jobs", "4"]).expect("valid flags"));
 
     // Raw per-point reports match.
     assert_eq!(serial.len(), parallel.len());
@@ -61,7 +61,7 @@ fn point_order_in_the_spec_does_not_change_aggregation() {
     let mut reversed = SweepSpec::new(forward.configs.clone());
     reversed.points = forward.points.iter().rev().copied().collect();
 
-    let args = BenchArgs::from_iter(["--jobs", "3"]);
+    let args = BenchArgs::try_parse(["--jobs", "3"]).expect("valid flags");
     let a = forward.run(&args);
     let b = reversed.run(&args);
     for p in a.iter() {

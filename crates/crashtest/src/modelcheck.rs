@@ -536,7 +536,7 @@ impl fmt::Display for ModelMismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "crashfuzz --litmus-exhaustive test={} design={} outcome={:?} trace=\"{}\"",
+            "experiments litmus_exhaustive test={} design={} outcome={:?} trace=\"{}\"",
             self.test,
             self.design.label(),
             self.outcome,
@@ -718,7 +718,7 @@ mod tests {
             trace: "t0:st pm:0x1000".to_string(),
         };
         let line = m.to_string();
-        assert!(line.contains("--litmus-exhaustive"));
+        assert!(line.contains("experiments litmus_exhaustive"));
         assert!(line.contains("test=store_store"));
         assert!(line.contains("design=DPO"));
         assert!(!line.contains('\n'));

@@ -2,7 +2,9 @@
 //!
 //! 1. **Non-perturbation** — span tracing observes only: the
 //!    `RunReport` and the persistent image are identical to the plain
-//!    run's.
+//!    run's, and the tracer's `ProfileReport` is the standalone
+//!    profiler's (the `breakdown` experiment renders both its aggregate
+//!    breakdown and its waterfalls from one span-traced pass).
 //! 2. **Conservation** — every committed FASE's span is a waterfall:
 //!    its per-bucket cycles sum exactly to its wall-cycles (first
 //!    `FaseBegin` to committing `FaseEnd`), and the per-core span sums
@@ -22,7 +24,7 @@ use pmem_spec_repro::core::profile::Bucket;
 use pmem_spec_repro::core::span::SpanPhase;
 use pmem_spec_repro::core::spec_buffer::DetectionMode;
 use pmem_spec_repro::core::{
-    ProfileReport, RecoveryPolicy, RunReport, SpanReport, SpanTracer, System,
+    ProfileReport, Profiler, RecoveryPolicy, RunReport, SpanReport, SpanTracer, System,
 };
 use pmem_spec_repro::isa::{lower_program_with_meta, Program, ProgramMeta};
 use pmem_spec_repro::prelude::*;
@@ -59,9 +61,17 @@ fn span_tracing_does_not_perturb_the_simulation() {
         for d in DesignKind::ALL_EXTENDED {
             let (program, meta) = lowered(b, d, fases_for(b));
             let (plain, plain_image) = system(program.clone()).run_full();
+            let profiled_system = system(program.clone());
+            let mut profiler = Profiler::new(&profiled_system);
+            profiled_system.run_with(&mut profiler);
             let traced_system = system(program);
             let mut tracer = SpanTracer::new(&traced_system, &meta);
             let (traced, traced_image) = traced_system.run_with(&mut tracer);
+            assert_eq!(
+                format!("{:?}", profiler.report()),
+                format!("{:?}", tracer.report().0),
+                "{b}/{d}: the span tracer's profile must be the standalone profiler's"
+            );
             assert_eq!(
                 plain.to_json(),
                 traced.to_json(),
