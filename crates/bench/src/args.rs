@@ -78,37 +78,38 @@ impl BenchArgs {
     /// # Errors
     ///
     /// The first flag that is not one of [`VALID_FLAGS`], with the list
-    /// of valid ones.
+    /// of valid ones; or a flag whose value is missing or invalid (a
+    /// following flag is not taken as `--out`'s directory, and
+    /// `--jobs` needs a positive integer), naming that flag.
     pub fn try_parse<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Result<Self, String> {
         let mut out = BenchArgs::default();
-        let mut iter = args.into_iter().map(Into::into).peekable();
-        let jobs = |v: &str| v.parse().ok().filter(|&n: &usize| n > 0);
+        let mut iter = args.into_iter().map(Into::into);
         while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--serial" => out.serial = true,
-                // The directory operand, without swallowing a following
-                // flag.
-                "--out" => {
-                    if let Some(dir) = iter.next_if(|next| !next.starts_with('-')) {
-                        out.out = PathBuf::from(dir);
-                    }
-                }
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_owned())),
+                _ => (arg.as_str(), None),
+            };
+            let mut value = |usage: &str| {
+                inline
+                    .clone()
+                    .or_else(|| iter.next())
+                    .filter(|v| !v.is_empty() && !v.starts_with('-'))
+                    .ok_or_else(|| format!("`{flag}` needs a value: {usage}"))
+            };
+            match flag {
+                "--serial" if inline.is_none() => out.serial = true,
+                "--out" => out.out = PathBuf::from(value("--out DIR")?),
                 "--jobs" => {
-                    if let Some(v) = iter.next() {
-                        out.jobs = jobs(&v);
-                    }
+                    let v = value("--jobs N")?;
+                    let n = v.parse().ok().filter(|&n: &usize| n > 0);
+                    out.jobs = Some(n.ok_or_else(|| {
+                        format!("`--jobs` needs a positive worker count, got `{v}`")
+                    })?);
                 }
-                _ => {
-                    if let Some(dir) = arg.strip_prefix("--out=") {
-                        out.out = PathBuf::from(dir);
-                    } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                        out.jobs = jobs(v);
-                    } else if arg.starts_with('-') {
-                        return Err(format!("unknown flag `{arg}`; valid flags: {VALID_FLAGS}"));
-                    } else {
-                        out.operands.push(arg);
-                    }
+                _ if arg.starts_with('-') => {
+                    return Err(format!("unknown flag `{arg}`; valid flags: {VALID_FLAGS}"));
                 }
+                _ => out.operands.push(arg),
             }
         }
         Ok(out)
@@ -152,10 +153,12 @@ mod tests {
         assert!(a.serial);
         let b = parse(&["--out=D"]);
         assert_eq!(b.out, PathBuf::from("D"));
-        // A following flag is not taken as the directory.
-        let c = parse(&["--out", "--serial"]);
-        assert_eq!(c.out, PathBuf::from("results"));
-        assert!(c.serial);
+        // A missing directory is an error, not a silent `results`: a
+        // following flag is not taken as the directory.
+        for missing in [&["--out", "--serial"][..], &["fig9", "--out"], &["--out="]] {
+            let err = BenchArgs::try_parse(missing.iter().copied()).unwrap_err();
+            assert!(err.contains("`--out`"), "{missing:?}: {err}");
+        }
     }
 
     #[test]
@@ -168,7 +171,17 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_rejected() {
-        assert_eq!(parse(&["--jobs", "0"]).jobs, None);
-        assert_eq!(parse(&["--jobs=0"]).jobs, None);
+        for bad in [
+            &["--jobs", "0"][..],
+            &["--jobs=0"],
+            &["--jobs", "x"],
+            &["--jobs=x"],
+            &["--jobs"],
+            &["--jobs", "--serial"],
+        ] {
+            let err = BenchArgs::try_parse(bad.iter().copied()).unwrap_err();
+            assert!(err.contains("`--jobs`"), "{bad:?}: {err}");
+        }
+        assert_eq!(parse(&["--jobs=2"]).jobs, Some(2));
     }
 }

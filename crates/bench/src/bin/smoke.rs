@@ -23,9 +23,10 @@
 
 use std::process::ExitCode;
 
-use pmem_spec::{Bucket, Profiler};
-use pmemspec_bench::sweep::{parallel_map, run_point_with, worker_count};
-use pmemspec_bench::{geomeans, suite_markdown, suite_rows, suite_spec, BenchArgs, Json, SEEDS};
+use pmem_spec::{Bucket, ProfileReport, Profiler};
+use pmemspec_bench::{
+    geomeans, suite_markdown, suite_rows, suite_spec, BenchArgs, Json, SweepSpec, SEEDS,
+};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::DesignKind;
 use pmemspec_workloads::Benchmark;
@@ -42,42 +43,25 @@ const FASES: usize = 25;
 /// [`Bucket::ALL`] order. Profiling observes only, so this cannot
 /// perturb the geomean grid it runs beside.
 fn bucket_fractions(args: &BenchArgs, seed: u64) -> Vec<(DesignKind, [f64; Bucket::COUNT])> {
-    let cfg = SimConfig::asplos21(CORES);
-    let points: Vec<(DesignKind, Benchmark)> = DesignKind::ALL_EXTENDED
-        .iter()
-        .flat_map(|&d| Benchmark::ALL.iter().map(move |&b| (d, b)))
-        .collect();
-    let profiles = parallel_map(points.len(), worker_count(args), |i| {
-        let (design, benchmark) = points[i];
-        let (_, profiler) = run_point_with(benchmark, design, &cfg, FASES, seed, |sys, _| {
-            Profiler::new(sys)
-        });
-        let profile = profiler.report();
-        let totals: Vec<u64> = Bucket::ALL
-            .iter()
-            .map(|&b| profile.bucket_total(b))
-            .collect();
-        (profile.grand_total(), totals)
-    });
+    let mut spec = SweepSpec::new(vec![SimConfig::asplos21(CORES)]);
+    for design in DesignKind::ALL_EXTENDED {
+        for benchmark in Benchmark::ALL {
+            spec.add(0, benchmark, design, seed, FASES);
+        }
+    }
+    let (_, profilers) = spec.run_with(args, |sys, _| Profiler::new(sys));
+    let profiles: Vec<ProfileReport> = profilers.into_iter().map(Profiler::report).collect();
+    // Design-major: each design's benchmarks are one chunk.
     DesignKind::ALL_EXTENDED
-        .iter()
-        .map(|&design| {
-            let mut grand = 0u64;
-            let mut sums = [0u64; Bucket::COUNT];
-            for (i, (d, _)) in points.iter().enumerate() {
-                if *d == design {
-                    let (g, totals) = &profiles[i];
-                    grand += g;
-                    for (s, t) in sums.iter_mut().zip(totals) {
-                        *s += t;
-                    }
-                }
-            }
-            let mut fractions = [0.0f64; Bucket::COUNT];
-            for (f, &s) in fractions.iter_mut().zip(&sums) {
-                *f = s as f64 / grand as f64;
-            }
-            (design, fractions)
+        .into_iter()
+        .zip(profiles.chunks(Benchmark::ALL.len()))
+        .map(|(design, row)| {
+            let grand: u64 = row.iter().map(ProfileReport::grand_total).sum();
+            let fraction = |bucket| {
+                let cycles: u64 = row.iter().map(|p| p.bucket_total(bucket)).sum();
+                cycles as f64 / grand as f64
+            };
+            (design, Bucket::ALL.map(fraction))
         })
         .collect()
 }

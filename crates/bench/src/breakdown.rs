@@ -23,9 +23,10 @@
 //!   bucket sum equals its wall-cycles, so the waterfalls reconcile
 //!   with the aggregate breakdown.
 //!
-//! Points run on the shared worker pool and reduce in spec order, so
-//! the output is byte-identical to `--serial`. Per-design Perfetto
-//! traces of the same probes come from `sim --trace`.
+//! The grid is one [`SweepSpec`], run on the shared worker pool and
+//! reduced in spec order, so the output is byte-identical to
+//! `--serial`. Per-design Perfetto traces of the same probes come from
+//! `sim --trace`.
 
 use std::fmt::Write as _;
 
@@ -37,7 +38,7 @@ use pmemspec_isa::DesignKind;
 use pmemspec_workloads::Benchmark;
 
 use crate::experiments::Output;
-use crate::{default_fases, seeds, suite_cores, sweep, BenchArgs, Json};
+use crate::{default_fases, seeds, suite_cores, BenchArgs, Json, SweepSpec};
 
 /// The tail under analysis: spans at or above this latency quantile.
 const TAIL_Q: f64 = 0.99;
@@ -59,25 +60,27 @@ struct Point {
 pub fn breakdown(args: &BenchArgs) -> Output {
     let cores = suite_cores();
     let seed = seeds()[0];
-    let cfg = SimConfig::asplos21(cores);
-    let spec: Vec<(DesignKind, Benchmark)> = DesignKind::ALL_EXTENDED
-        .iter()
-        .flat_map(|&d| Benchmark::ALL.iter().map(move |&b| (d, b)))
-        .collect();
-    let points: Vec<Point> = sweep::parallel_map(spec.len(), sweep::worker_count(args), |i| {
-        let (design, benchmark) = spec[i];
-        let fases = default_fases(benchmark);
-        let (_, tracer) =
-            sweep::run_point_with(benchmark, design, &cfg, fases, seed, SpanTracer::new);
-        let (profile, spans) = tracer.report();
-        Point {
-            design,
-            benchmark,
-            fases,
-            profile,
-            spans,
+    let mut spec = SweepSpec::new(vec![SimConfig::asplos21(cores)]);
+    for design in DesignKind::ALL_EXTENDED {
+        for benchmark in Benchmark::ALL {
+            spec.add(0, benchmark, design, seed, default_fases(benchmark));
         }
-    });
+    }
+    let (results, tracers) = spec.run_with(args, SpanTracer::new);
+    let points: Vec<Point> = results
+        .iter()
+        .zip(tracers)
+        .map(|(p, tracer)| {
+            let (profile, spans) = tracer.report();
+            Point {
+                design: p.key.design,
+                benchmark: p.key.benchmark,
+                fases: p.fases,
+                profile,
+                spans,
+            }
+        })
+        .collect();
     let mut output = Output::pair(
         "breakdown",
         breakdown_markdown(cores, seed, &points),

@@ -23,7 +23,7 @@ use pmemspec_workloads::{characterize, synthetic, Benchmark, WorkloadParams};
 use crate::breakdown::breakdown;
 use crate::crashfuzz::{crashfuzz, litmus_exhaustive};
 use crate::lint::lint;
-use crate::sweep::{generated_program, parallel_map, worker_count};
+use crate::sweep::{parallel_map, worker_count, workload_params};
 use crate::table::{Cell, Table};
 use crate::{
     default_fases, geomeans, normalized_suite_with, scaled_llc_config, seeds, suite_cores,
@@ -743,7 +743,8 @@ fn characterize(args: &BenchArgs) -> Output {
         ],
     );
     for b in Benchmark::ALL {
-        let p = characterize::profile(&generated_program(b, 8, fases_for(b), seed));
+        let g = b.generate(&workload_params(8, fases_for(b), seed));
+        let p = characterize::profile(&g.program);
         let r = results.report(0, b, DesignKind::PmemSpec, seed);
         table.push(vec![
             Cell::text(b.label()),

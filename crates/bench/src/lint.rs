@@ -84,8 +84,8 @@ pub fn lint_grid_sized(
     sweep::parallel_map(spec.len(), workers, |i| {
         let (design, benchmark) = spec[i];
         let fases = fases(benchmark);
-        let abs = sweep::generated_program(benchmark, threads, fases, seed);
-        let (program, meta) = lower_program_with_meta(design, &abs);
+        let abs = benchmark.generate(&sweep::workload_params(threads, fases, seed));
+        let (program, meta) = lower_program_with_meta(design, &abs.program);
         LintPoint {
             design,
             benchmark,

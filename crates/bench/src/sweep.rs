@@ -9,9 +9,10 @@
 //! * a dependency-free worker pool on [`std::thread::scope`] (the
 //!   workspace builds offline with no external crates, and stays that
 //!   way),
-//! * memoized workload generation and lowering shared across points
-//!   (four designs x three seeds per benchmark previously regenerated
-//!   identical inputs),
+//! * per-run programs: a run counts up front how many points use each
+//!   lowered program and how many lowerings use each generated one,
+//!   builds each once on first use, and drops it after its last use, so
+//!   a grid holds only the programs its in-flight points still need,
 //! * deterministic aggregation: results come back indexed by
 //!   [`PointKey`] and are reduced in spec order, so a parallel sweep is
 //!   byte-identical to `--serial`.
@@ -24,10 +25,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pmem_spec::{run_program, Probe, RunReport, System};
+use pmem_spec::{Probe, RunReport, System};
 use pmemspec_engine::SimConfig;
 use pmemspec_isa::abs::AbsProgram;
-use pmemspec_isa::{lower_program, lower_program_with_meta, DesignKind, Program, ProgramMeta};
+use pmemspec_isa::{lower_program_with_meta, DesignKind, Program, ProgramMeta};
 use pmemspec_workloads::{Benchmark, WorkloadParams};
 
 use crate::args::BenchArgs;
@@ -124,10 +125,27 @@ impl SweepSpec {
     ///
     /// # Panics
     ///
+    /// Same as [`SweepSpec::run_with`].
+    pub fn run(&self, args: &BenchArgs) -> SweepResults {
+        self.run_with(args, |_, _| ()).0
+    }
+
+    /// Like [`SweepSpec::run`], but runs each point under the probe
+    /// `probe` builds for its system and lowering metadata (a
+    /// [`pmem_spec::Profiler`], a [`pmem_spec::SpanTracer`], ...) and
+    /// also returns the probes after their runs, in spec order. Probes
+    /// observe only, so the results match [`SweepSpec::run`]'s.
+    ///
+    /// # Panics
+    ///
     /// Panics if two points share a [`PointKey`] (the key is the
     /// aggregation identity) or if any point fails to build a valid
     /// system.
-    pub fn run(&self, args: &BenchArgs) -> SweepResults {
+    pub fn run_with<P: Probe + Send>(
+        &self,
+        args: &BenchArgs,
+        probe: impl Fn(&System, &ProgramMeta) -> P + Sync,
+    ) -> (SweepResults, Vec<P>) {
         let n = self.points.len();
         let mut seen = HashMap::with_capacity(n);
         for (i, p) in self.points.iter().enumerate() {
@@ -135,10 +153,9 @@ impl SweepSpec {
                 panic!("duplicate sweep point {:?} (indices {prev} and {i})", p.key);
             }
         }
-        clear_memo();
-        let workers = worker_count(args);
+        let programs = Programs::new(self);
         let started = AtomicUsize::new(0);
-        let points = parallel_map(n, workers, |i| {
+        let runs = parallel_map(n, worker_count(args), |i| {
             let p = self.points[i];
             let cfg = &self.configs[p.key.cfg];
             let k = started.fetch_add(1, Ordering::Relaxed) + 1;
@@ -149,17 +166,28 @@ impl SweepSpec {
                 cfg.cores,
                 p.key.seed
             );
-            run_point(p.key.benchmark, p.key.design, cfg, p.fases, p.key.seed)
+            let (program, meta) = programs.take(p.lower_key(cfg));
+            let system = System::new(cfg.clone(), program).expect("valid experiment");
+            let mut probe = probe(&system, &meta);
+            // The run needs only the program; free the metadata first.
+            drop(meta);
+            let (report, _) = system.run_with(&mut probe);
+            (report, probe)
         });
+        assert!(programs.is_empty(), "every counted program use was taken");
+        let mut probes = Vec::with_capacity(n);
         let results = SweepResults::from_points(
             self.points
                 .iter()
-                .zip(points)
-                .map(|(p, (report, note))| PointResult {
-                    key: p.key,
-                    fases: p.fases,
-                    report,
-                    note,
+                .zip(runs)
+                .map(|(p, (report, probe))| {
+                    probes.push(probe);
+                    PointResult {
+                        key: p.key,
+                        fases: p.fases,
+                        note: misspeculation_note(p.key, self.configs[p.key.cfg].cores, &report),
+                        report,
+                    }
                 })
                 .collect(),
         );
@@ -170,8 +198,43 @@ impl SweepSpec {
                 eprintln!("{note}");
             }
         }
-        results
+        (results, probes)
     }
+}
+
+impl SweepPoint {
+    /// What this point's lowered program depends on under `cfg`.
+    fn lower_key(&self, cfg: &SimConfig) -> LowerKey {
+        LowerKey {
+            design: self.key.design,
+            gen: GenKey {
+                benchmark: self.key.benchmark,
+                threads: cfg.cores,
+                fases: self.fases,
+                seed: self.key.seed,
+            },
+        }
+    }
+}
+
+/// The record line for a run that saw misspeculation, if it did.
+fn misspeculation_note(key: PointKey, cores: usize, report: &RunReport) -> Option<String> {
+    // Large core counts widen the speculation window (cores x path
+    // latency), which can trip rare conservative detections; recovery
+    // preserves every FASE, and the cost is already in the measured
+    // throughput. Surface it for the record.
+    (!report.misspeculation_free()).then(|| {
+        format!(
+            "note: {}/{} ({cores} cores, seed {}): {} load / {} store \
+             misspeculations detected, {} FASEs re-executed",
+            key.benchmark,
+            key.design,
+            key.seed,
+            report.load_misspec_detected,
+            report.store_misspec_detected,
+            report.fases_aborted
+        )
+    })
 }
 
 /// The outcome of one sweep point.
@@ -283,54 +346,6 @@ impl<'a> IntoIterator for &'a SweepResults {
     }
 }
 
-/// Runs one (benchmark, design, config, seed) point through the
-/// memoized generate/lower path and returns the report plus an
-/// attributed misspeculation note, if the run saw any.
-pub fn run_point(
-    benchmark: Benchmark,
-    design: DesignKind,
-    cfg: &SimConfig,
-    fases: usize,
-    seed: u64,
-) -> (RunReport, Option<String>) {
-    let program = lowered_program(benchmark, design, cfg.cores, fases, seed);
-    let report = run_program(cfg.clone(), program).expect("valid experiment");
-    let note = (!report.misspeculation_free()).then(|| {
-        // Large core counts widen the speculation window (cores x path
-        // latency), which can trip rare conservative detections;
-        // recovery preserves every FASE, and the cost is already in the
-        // measured throughput. Surface it for the record.
-        format!(
-            "note: {benchmark}/{design} ({} cores, seed {seed}): {} load / {} store \
-             misspeculations detected, {} FASEs re-executed",
-            cfg.cores,
-            report.load_misspec_detected,
-            report.store_misspec_detected,
-            report.fases_aborted
-        )
-    });
-    (report, note)
-}
-
-/// Like [`run_point`], but under the probe `probe` builds for the
-/// point's system and lowering metadata (a [`pmem_spec::Profiler`],
-/// a [`pmem_spec::SpanTracer`], ...), returned after the run. Probes
-/// observe only, so the report matches [`run_point`]'s byte-for-byte.
-pub fn run_point_with<P: Probe>(
-    benchmark: Benchmark,
-    design: DesignKind,
-    cfg: &SimConfig,
-    fases: usize,
-    seed: u64,
-    probe: impl FnOnce(&System, &ProgramMeta) -> P,
-) -> (RunReport, P) {
-    let (program, meta) = lowered_program_with_meta(benchmark, design, cfg.cores, fases, seed);
-    let system = System::new(cfg.clone(), program).expect("valid experiment");
-    let mut probe = probe(&system, &meta);
-    let (report, _) = system.run_with(&mut probe);
-    (report, probe)
-}
-
 // ---------------------------------------------------------------------
 // Worker pool
 
@@ -396,9 +411,18 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Memoized generation + lowering
+// Per-run programs
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The workload parameters of a point with `threads` threads, `fases`
+/// FASEs per thread and generation seed `seed`.
+pub fn workload_params(threads: usize, fases: usize, seed: u64) -> WorkloadParams {
+    WorkloadParams::small(threads)
+        .with_fases(fases)
+        .with_seed(seed)
+}
+
+/// What a generated (abstract) program depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct GenKey {
     benchmark: Benchmark,
     threads: usize,
@@ -406,125 +430,101 @@ struct GenKey {
     seed: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// What a lowered program depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct LowerKey {
     design: DesignKind,
     gen: GenKey,
 }
 
-type MemoMap<K, V> = Mutex<HashMap<K, std::sync::Arc<OnceLock<V>>>>;
-
-struct Memo {
-    generated: MemoMap<GenKey, AbsProgram>,
-    lowered: MemoMap<LowerKey, Arc<Program>>,
-    lowered_meta: MemoMap<LowerKey, (Arc<Program>, Arc<ProgramMeta>)>,
+/// Values each built at most once, on first use, and counted down per
+/// use: an entry leaves the table with its last counted use, so the
+/// value lives only as long as its last user holds it.
+struct Table<K, V> {
+    cells: Mutex<HashMap<K, Entry<V>>>,
 }
 
-fn memo() -> &'static Memo {
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(|| Memo {
-        generated: Mutex::new(HashMap::new()),
-        lowered: Mutex::new(HashMap::new()),
-        lowered_meta: Mutex::new(HashMap::new()),
-    })
+/// A key's remaining uses and its value's cell.
+type Entry<V> = (usize, Arc<OnceLock<V>>);
+
+impl<K: std::hash::Hash + Eq + std::fmt::Debug, V: Clone> Table<K, V> {
+    /// A table expecting one use per occurrence of a key in `uses`.
+    fn counting(uses: impl IntoIterator<Item = K>) -> Self {
+        let mut cells: HashMap<K, Entry<V>> = HashMap::new();
+        for key in uses {
+            cells.entry(key).or_default().0 += 1;
+        }
+        Table {
+            cells: Mutex::new(cells),
+        }
+    }
+
+    /// One counted use of `key`'s value, built by `build` on the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` has no use left (it would be built again).
+    fn take(&self, key: &K, build: impl FnOnce() -> V) -> V {
+        let cell = {
+            let mut cells = self.cells.lock().expect("program table lock");
+            let Some((uses, cell)) = cells.get_mut(key) else {
+                panic!("{key:?} used more often than counted");
+            };
+            *uses -= 1;
+            let cell = Arc::clone(cell);
+            if *uses == 0 {
+                cells.remove(key);
+            }
+            cell
+        };
+        // Build outside the table lock; concurrent users of one key
+        // block on its cell, not the whole table.
+        cell.get_or_init(build).clone()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.cells.lock().expect("program table lock").is_empty()
+    }
 }
 
-/// Drops every memoized program. Called at the start of each
-/// [`SweepSpec::run`] so multi-sweep runs (fig10 runs three grids; the
-/// `experiments` binary runs every grid in one process) do not
-/// accumulate dead programs.
-pub fn clear_memo() {
-    memo().generated.lock().expect("memo lock").clear();
-    memo().lowered.lock().expect("memo lock").clear();
-    memo().lowered_meta.lock().expect("memo lock").clear();
+/// The programs of one [`SweepSpec::run_with`] call: each lowered
+/// program is counted once per point that runs it, each generated
+/// program once per lowering built from it.
+struct Programs {
+    generated: Table<GenKey, Arc<AbsProgram>>,
+    lowered: Table<LowerKey, (Arc<Program>, Arc<ProgramMeta>)>,
 }
 
-fn memo_get<K, V, F>(map: &MemoMap<K, V>, key: K, build: F) -> std::sync::Arc<OnceLock<V>>
-where
-    K: std::hash::Hash + Eq + Copy,
-    V: Clone,
-    F: FnOnce() -> V,
-{
-    let cell = {
-        let mut map = map.lock().expect("memo lock");
-        map.entry(key).or_default().clone()
-    };
-    // Build outside the map lock; concurrent requests for the same key
-    // block on the cell, not the whole cache.
-    cell.get_or_init(build);
-    cell
-}
+impl Programs {
+    fn new(spec: &SweepSpec) -> Self {
+        let lowerings: Vec<LowerKey> = spec
+            .points
+            .iter()
+            .map(|p| p.lower_key(&spec.configs[p.key.cfg]))
+            .collect();
+        let distinct: std::collections::HashSet<LowerKey> = lowerings.iter().copied().collect();
+        Programs {
+            generated: Table::counting(distinct.into_iter().map(|k| k.gen)),
+            lowered: Table::counting(lowerings),
+        }
+    }
 
-/// The abstract program for a workload point, memoized process-wide so
-/// the designs and seeds of a sweep share one generation.
-pub fn generated_program(
-    benchmark: Benchmark,
-    threads: usize,
-    fases: usize,
-    seed: u64,
-) -> AbsProgram {
-    let key = GenKey {
-        benchmark,
-        threads,
-        fases,
-        seed,
-    };
-    let cell = memo_get(&memo().generated, key, || {
-        let params = WorkloadParams::small(threads)
-            .with_fases(fases)
-            .with_seed(seed);
-        benchmark.generate(&params).program
-    });
-    cell.get().expect("initialized above").clone()
-}
+    /// One point's lowered program and its lowering metadata.
+    fn take(&self, key: LowerKey) -> (Arc<Program>, Arc<ProgramMeta>) {
+        self.lowered.take(&key, || {
+            let gen = key.gen;
+            let abs = self.generated.take(&gen, || {
+                let params = workload_params(gen.threads, gen.fases, gen.seed);
+                Arc::new(gen.benchmark.generate(&params).program)
+            });
+            let (program, meta) = lower_program_with_meta(key.design, &abs);
+            (Arc::new(program), Arc::new(meta))
+        })
+    }
 
-/// The lowered per-design program for a workload point, memoized on
-/// top of [`generated_program`].
-pub fn lowered_program(
-    benchmark: Benchmark,
-    design: DesignKind,
-    threads: usize,
-    fases: usize,
-    seed: u64,
-) -> Arc<Program> {
-    let gen = GenKey {
-        benchmark,
-        threads,
-        fases,
-        seed,
-    };
-    let key = LowerKey { design, gen };
-    let cell = memo_get(&memo().lowered, key, || {
-        let abs = generated_program(benchmark, threads, fases, seed);
-        Arc::new(lower_program(design, &abs))
-    });
-    cell.get().expect("initialized above").clone()
-}
-
-/// Like [`lowered_program`], but pairs the program with its lowering
-/// metadata ([`ProgramMeta`]) for span tracing and static analysis.
-/// Memoized separately from the meta-less path (the two lowerings
-/// produce equal programs; a test pins that).
-pub fn lowered_program_with_meta(
-    benchmark: Benchmark,
-    design: DesignKind,
-    threads: usize,
-    fases: usize,
-    seed: u64,
-) -> (Arc<Program>, Arc<ProgramMeta>) {
-    let gen = GenKey {
-        benchmark,
-        threads,
-        fases,
-        seed,
-    };
-    let key = LowerKey { design, gen };
-    let cell = memo_get(&memo().lowered_meta, key, || {
-        let abs = generated_program(benchmark, threads, fases, seed);
-        let (program, meta) = lower_program_with_meta(design, &abs);
-        (Arc::new(program), Arc::new(meta))
-    });
-    cell.get().expect("initialized above").clone()
+    fn is_empty(&self) -> bool {
+        self.generated.is_empty() && self.lowered.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -632,28 +632,81 @@ mod tests {
         assert_eq!(out, serial);
     }
 
-    #[test]
-    fn memoized_programs_are_reused_and_identical() {
-        clear_memo();
-        let a = lowered_program(Benchmark::ArraySwaps, DesignKind::PmemSpec, 2, 5, 11);
-        let b = lowered_program(Benchmark::ArraySwaps, DesignKind::PmemSpec, 2, 5, 11);
-        assert_eq!(a, b);
-        // A fresh, unmemoized build matches too.
-        clear_memo();
-        let c = lowered_program(Benchmark::ArraySwaps, DesignKind::PmemSpec, 2, 5, 11);
-        assert_eq!(a, c);
+    /// The fig11/fig12 shape: two configs with one core count share
+    /// each lowered program, and two designs share each generated one.
+    fn shared_spec() -> SweepSpec {
+        let cfg = SimConfig::asplos21(2);
+        let mut spec = SweepSpec::new(vec![cfg.clone(), cfg.with_spec_buffer_entries(4)]);
+        for c in 0..2 {
+            for d in [DesignKind::Hops, DesignKind::PmemSpec] {
+                spec.add(c, Benchmark::Queue, d, 11, 5);
+            }
+        }
+        spec
+    }
+
+    fn uses<K: Ord + Copy, V>(table: &Table<K, V>) -> Vec<(K, usize)> {
+        let cells = table.cells.lock().expect("program table lock");
+        let mut uses: Vec<(K, usize)> = cells.iter().map(|(k, (n, _))| (*k, *n)).collect();
+        uses.sort_unstable();
+        uses
     }
 
     #[test]
-    fn meta_lowering_matches_the_plain_path() {
-        clear_memo();
-        let plain = lowered_program(Benchmark::Queue, DesignKind::PmemSpec, 2, 5, 11);
-        let (with_meta, meta) =
-            lowered_program_with_meta(Benchmark::Queue, DesignKind::PmemSpec, 2, 5, 11);
-        assert_eq!(plain, with_meta);
-        assert_eq!(meta.threads.len(), plain.thread_count());
-        for (i, t) in meta.threads.iter().enumerate() {
-            assert_eq!(t.ops.len(), plain.thread(i).ops().len());
+    fn programs_are_built_once_and_dropped_after_their_last_use() {
+        let spec = shared_spec();
+        let programs = Programs::new(&spec);
+        let keys: Vec<LowerKey> = (spec.points.iter())
+            .map(|p| p.lower_key(&spec.configs[p.key.cfg]))
+            .collect();
+        assert_eq!(uses(&programs.lowered), [(keys[0], 2), (keys[1], 2)]);
+        assert_eq!(uses(&programs.generated), [(keys[0].gen, 2)]);
+
+        let taken: Vec<Arc<Program>> = keys.iter().map(|&k| programs.take(k).0).collect();
+        // Each config's points run the same lowering, not a rebuilt one.
+        assert!(Arc::ptr_eq(&taken[0], &taken[2]));
+        assert!(Arc::ptr_eq(&taken[1], &taken[3]));
+        assert!(!Arc::ptr_eq(&taken[0], &taken[1]));
+        assert!(programs.is_empty());
+        // No point holds a program any more, so none is left alive.
+        assert!(taken.iter().all(|p| Arc::strong_count(p) == 2));
+
+        // A run takes exactly the counted uses (it asserts the table
+        // is empty when it returns).
+        assert_eq!(spec.run(&BenchArgs::serial()).len(), spec.points.len());
+    }
+
+    #[test]
+    fn table_builds_each_key_once_and_rejects_uncounted_uses() {
+        let table: Table<u8, usize> = Table::counting([1, 2, 1]);
+        let builds = AtomicUsize::new(0);
+        let build = || builds.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(table.take(&1, build), 0);
+        assert_eq!(table.take(&1, build), 0);
+        assert_eq!(table.take(&2, build), 1);
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        assert!(table.is_empty());
+        let again = std::panic::catch_unwind(|| table.take(&1, || 0));
+        assert!(again.is_err(), "a key past its last use is not rebuilt");
+    }
+
+    #[test]
+    fn sweep_reports_match_fresh_runs() {
+        let spec = shared_spec();
+        let results = spec.run(&BenchArgs::serial());
+        for p in &results {
+            let cfg = spec.configs[p.key.cfg].clone();
+            let params = workload_params(cfg.cores, p.fases, p.key.seed);
+            let abs = p.key.benchmark.generate(&params).program;
+            let fresh = System::new(cfg, pmemspec_isa::lower_program(p.key.design, &abs))
+                .expect("valid system")
+                .run();
+            assert_eq!(
+                format!("{:?}", p.report),
+                format!("{fresh:?}"),
+                "{:?}",
+                p.key
+            );
         }
     }
 

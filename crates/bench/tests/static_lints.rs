@@ -27,9 +27,9 @@ const SEED: u64 = 11;
 #[test]
 fn every_workload_design_point_lints_clean() {
     for benchmark in Benchmark::ALL {
-        let abs = sweep::generated_program(benchmark, THREADS, FASES, SEED);
+        let abs = benchmark.generate(&sweep::workload_params(THREADS, FASES, SEED));
         for design in DesignKind::ALL_EXTENDED {
-            let (program, meta) = lower_program_with_meta(design, &abs);
+            let (program, meta) = lower_program_with_meta(design, &abs.program);
             let report = analyze_program(&program, &meta);
             assert!(
                 report.is_clean(),

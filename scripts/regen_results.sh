@@ -14,14 +14,15 @@
 #   PMEMSPEC_SMOKE=1   reduced grid (2 cores, 1 seed, 25 FASEs) — fast
 #                      sanity pass, NOT the checked-in numbers
 #
-# Wall time on a 2-core host: ~85 s (fig10 ~62 s of it, every other
-# experiment under 9 s); ~150 s with --serial (fig10 ~113 s). More cores
+# Wall time on a 2-core host: 72 s (fig10 55 s of it, every other
+# experiment under 7 s); 126 s with --serial (fig10 94 s). More cores
 # divide it further. Pass --serial to reproduce the single-threaded run
-# exactly.
+# exactly. Peak RSS is about 1.0 GB pooled and 0.66 GB serial.
 #
 # `experiments` prints one `== name: N.NNNs, VmHWM N kB` line per
 # experiment (the peak RSS so far) so suite-cost regressions show up in
-# CI logs per step instead of hiding inside one opaque total.
+# CI logs per step instead of hiding inside one opaque total; CI fails
+# when any of them exceeds 2,000,000 kB.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --workspace
