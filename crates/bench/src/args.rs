@@ -1,7 +1,5 @@
-//! The one command-line parser shared by every experiment binary.
-//!
-//! Every binary accepts the same small flag set, so the parsing lives
-//! here instead of being re-scanned ad hoc per binary:
+//! The command-line parser of the `experiments` binary (and of the
+//! tests that drive the registry in-process):
 //!
 //! | Flag | Meaning |
 //! |---|---|
@@ -10,9 +8,8 @@
 //! | `--jobs N` | worker-thread count (overrides `PMEMSPEC_JOBS`) |
 //!
 //! Bare words that are not a flag's value are collected as operands
-//! (the experiment names of the `experiments` binary). Any other flag
-//! is an error: a stale flag must not silently run the default
-//! selection and rewrite `results/`.
+//! (the experiment names). Any other flag is an error: a stale flag
+//! must not silently run the default selection and rewrite `results/`.
 //!
 //! Environment:
 //!
@@ -26,7 +23,7 @@ use std::path::PathBuf;
 /// The flags [`BenchArgs`] accepts, as listed in its error message.
 const VALID_FLAGS: &str = "--out DIR, --serial, --jobs N";
 
-/// Parsed command-line options for an experiment binary.
+/// Parsed command-line options of `experiments`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// `--out DIR`: where artifacts are written (default `results`).
@@ -51,15 +48,10 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args()`; see [`BenchArgs::parse_from`].
+    /// Parses `std::env::args()`, or prints the error (which lists the
+    /// valid flags) and exits with status 1.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses `args`, or prints the error (which lists the valid flags)
-    /// and exits with status 1.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
-        Self::try_parse(args).unwrap_or_else(|e| {
+        Self::try_parse(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(1)
         })

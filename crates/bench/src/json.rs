@@ -1,11 +1,10 @@
 //! A minimal JSON value: writer + parser, no external dependencies.
 //!
 //! The experiments emit their aggregated results as JSON so downstream
-//! tooling and the CI smoke gate can consume them without scraping
-//! markdown, and the smoke gate reads its reference file back through
-//! [`Json::parse`]. The workspace builds
-//! fully offline, so this stays hand-rolled instead of pulling in
-//! serde.
+//! tooling can consume them without scraping markdown, and the
+//! `simulator` bench reads its committed baseline back through
+//! [`Json::parse`]. The workspace builds fully offline, so this stays
+//! hand-rolled instead of pulling in serde.
 
 use std::fmt::Write as _;
 

@@ -23,17 +23,13 @@
 //! | `litmus_exhaustive` | exhaustive litmus model check vs the axioms |
 //! | `fig10` | Figure 10 (16/32/64-core sensitivity) |
 //!
-//! The other binaries in `src/bin/`:
-//!
-//! | Binary | Does |
-//! |---|---|
-//! | `smoke` | CI gate: reduced grid vs `results/smoke_reference.json` |
-//! | `sim` | one simulation from the command line (+ Perfetto trace) |
-//!
-//! `experiments` and `smoke` accept the shared flag set parsed by
-//! [`BenchArgs`] (`--out DIR`, `--serial`, `--jobs N`). Runs average
-//! several RNG seeds because lock-contention scheduling makes single
-//! runs noisy (±5%).
+//! `experiments` accepts the flag set parsed by [`BenchArgs`]
+//! (`--out DIR`, `--serial`, `--jobs N`). Under `PMEMSPEC_SMOKE=1` it
+//! runs the reduced grid, whose artifacts are committed under
+//! `results/smoke/`. The only other binary, `sim`, runs one simulation
+//! from the command line (with an optional Perfetto trace). Runs
+//! average several RNG seeds because lock-contention scheduling makes
+//! single runs noisy (±5%).
 //!
 //! The grids themselves run on the [`sweep`] worker pool: points are
 //! independent deterministic simulations, so they fan out across host

@@ -8,11 +8,12 @@
 # host cores via the sweep harness in crates/bench/src/sweep.rs; output
 # is byte-identical to a serial run. It exits 1 — after writing every
 # file — when any experiment's checks fail, printing each failure with
-# a one-line reproducer. Knobs:
+# a one-line reproducer. A second run writes the whole registry on the
+# reduced grid (PMEMSPEC_SMOKE=1: 2 cores, 1 seed, 25 FASEs, ~4 s) to
+# results/smoke/, which CI's results-smoke job diffs byte for byte.
+# Knob:
 #
 #   PMEMSPEC_JOBS=N    worker threads (default: all cores)
-#   PMEMSPEC_SMOKE=1   reduced grid (2 cores, 1 seed, 25 FASEs) — fast
-#                      sanity pass, NOT the checked-in numbers
 #
 # Wall time on a 2-core host: 72 s (fig10 55 s of it, every other
 # experiment under 7 s); 126 s with --serial (fig10 94 s). More cores
@@ -31,6 +32,7 @@ mkdir -p results
 now_ms() { date +%s%3N; }
 suite_start=$(now_ms)
 ./target/release/experiments --out results "$@" > /dev/null
+PMEMSPEC_SMOKE=1 ./target/release/experiments --out results/smoke "$@" > /dev/null
 if command -v python3 >/dev/null; then
     python3 scripts/render_figures.py
 fi
