@@ -273,6 +273,7 @@ mod tests {
             ("--cores", "core count must be positive"),
             ("--controllers", "need at least one PM controller"),
             ("--spec-buffer", "speculation buffer must have"),
+            ("--persist-path-ns", "persist-path latency must be positive"),
         ] {
             let err = parse_err(&[flag, "0"]);
             assert!(err.contains(message), "{flag} 0: {err}");

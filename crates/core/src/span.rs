@@ -683,7 +683,7 @@ mod tests {
         assert!(tr.spans.is_empty());
     }
 
-    fn span(core: usize, fase: u64, begin: u64, end: u64, buckets: &[(Bucket, u64)]) -> FaseSpan {
+    fn span(core: usize, fase: u32, begin: u64, end: u64, buckets: &[(Bucket, u64)]) -> FaseSpan {
         FaseSpan {
             core,
             fase: FaseId(fase),
@@ -707,7 +707,7 @@ mod tests {
         let r = SpanReport::new(DesignKind::PmemSpec, spans);
         assert_eq!(r.len(), 4);
         // Sorted by (core, fase).
-        let order: Vec<(usize, u64)> = r.spans.iter().map(|s| (s.core, s.fase.0)).collect();
+        let order: Vec<(usize, u32)> = r.spans.iter().map(|s| (s.core, s.fase.0)).collect();
         assert_eq!(order, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
         // Exact order-statistic thresholds: durations are 10,20,20,100.
         assert_eq!(r.latency_threshold(0.5).unwrap().raw(), 20);

@@ -890,14 +890,7 @@ impl System {
     }
 
     fn resolve(&self, v: ValueSrc) -> u64 {
-        match v {
-            ValueSrc::Imm(x) => x,
-            ValueSrc::OldOf(a) => self.image.read_volatile(a),
-            ValueSrc::OldPlus { addr, delta } => self.image.read_volatile(addr).wrapping_add(delta),
-            ValueSrc::LogTag { tag, target } => {
-                ValueSrc::log_tag_value(tag, target, self.image.read_volatile(target))
-            }
-        }
+        v.resolve(|a| self.image.read_volatile(a))
     }
 
     fn record_access(&mut self, served: ServedFrom) {

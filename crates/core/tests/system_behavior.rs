@@ -330,3 +330,48 @@ fn reports_expose_throughput() {
     assert!(a.throughput() > 0.0);
     assert!(a.speedup_over(&b) > 1.0);
 }
+
+#[test]
+fn negative_deltas_decrement_like_the_wrapping_add() {
+    // TPC-C's stock update: under a shared lock, each FASE logs the stock
+    // word's pre-image, decrements it by one and bumps an order counter.
+    let stock = Addr::pm(4096);
+    let orders = Addr::pm(4096 + 64);
+    let mut p = AbsProgram::new();
+    for tid in 0..2u64 {
+        let mut t = AbsThread::new();
+        for i in 0..5u64 {
+            t.begin_fase();
+            t.acquire(LockId(0));
+            t.log_write(Addr::pm((tid * 8 + i % 8) * 64), ValueSrc::OldOf(stock));
+            t.log_order();
+            t.data_write(
+                stock,
+                ValueSrc::OldPlus {
+                    addr: stock,
+                    delta: -1,
+                },
+            );
+            t.data_write(
+                orders,
+                ValueSrc::OldPlus {
+                    addr: orders,
+                    delta: 1,
+                },
+            );
+            t.release(LockId(0));
+            t.end_fase();
+        }
+        p.add_thread(t);
+    }
+    // What the old 64-bit delta of `u64::MAX` gave, ten times from zero.
+    let want = (0..10).fold(0u64, |v, _| v.wrapping_add(u64::MAX));
+    assert_eq!(want, 0u64.wrapping_sub(10));
+    for design in DesignKind::ALL_EXTENDED {
+        let sys = System::new(SimConfig::asplos21(2), lower_program(design, &p)).expect("valid");
+        let (report, image) = sys.run_full();
+        assert_eq!(report.fases_committed, 10, "{design}");
+        assert_eq!(image.read_persistent(stock), want, "{design}");
+        assert_eq!(image.read_persistent(orders), 10, "{design}");
+    }
+}

@@ -92,7 +92,7 @@ pub fn axiomatic_model(program: &Program) -> AxiomaticModel {
             events.push(PersistEvent {
                 thread: tid,
                 addr,
-                value: v,
+                value: v.get(),
             });
             preds.push(order.preds[local].iter().map(|&p| base + p).collect());
         }

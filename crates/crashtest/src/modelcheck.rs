@@ -257,13 +257,7 @@ impl Machine {
     }
 
     fn resolve(&self, s: &MState, value: ValueSrc) -> u64 {
-        let read = |a: Addr| s.mem.get(&a).copied().unwrap_or(0);
-        match value {
-            ValueSrc::Imm(v) => v,
-            ValueSrc::OldOf(a) => read(a),
-            ValueSrc::OldPlus { addr, delta } => read(addr).wrapping_add(delta),
-            ValueSrc::LogTag { tag, target } => ValueSrc::log_tag_value(tag, target, read(target)),
-        }
+        value.resolve(|a| s.mem.get(&a).copied().unwrap_or(0))
     }
 
     /// Can thread `t` execute its next op in state `s`? (Blocking fences
@@ -687,6 +681,34 @@ mod tests {
         // exactly the program's final values.
         let r = enumerate_litmus(&litmus_shape("epoch"), DesignKind::Hops);
         assert_eq!(r.terminal_outcomes, [vec![1, 1, 1]].into());
+    }
+
+    #[test]
+    fn negative_deltas_resolve_like_the_wrapping_add() {
+        use pmemspec_isa::{AbsProgram, AbsThread};
+        let a = Addr::pm(0);
+        let mut t = AbsThread::new();
+        t.begin_fase();
+        for _ in 0..2 {
+            t.data_write(a, ValueSrc::OldPlus { addr: a, delta: -1 });
+        }
+        t.end_fase();
+        let mut p = AbsProgram::new();
+        p.add_thread(t);
+        let once = 0u64.wrapping_add(u64::MAX);
+        let twice = once.wrapping_add(u64::MAX);
+        for design in DesignKind::ALL_EXTENDED {
+            let r = enumerate_program(lower_program(design, &p), &[a]);
+            // Epoch designs may drain the two same-epoch stores in either
+            // order, so only the values, not the final one, are pinned.
+            let reachable: BTreeSet<Vec<u64>> = [vec![0], vec![once], vec![twice]].into();
+            assert!(
+                r.outcomes.is_subset(&reachable),
+                "{design}: {:?}",
+                r.outcomes
+            );
+            assert!(r.terminal_outcomes.contains(&vec![twice]), "{design}");
+        }
     }
 
     #[test]

@@ -247,6 +247,11 @@ impl SimConfig {
         if self.pm.controllers == 0 {
             return Err("need at least one PM controller".into());
         }
+        if self.persist_path_latency == Duration::ZERO {
+            // PMEM-Spec's speculation window is this latency times the
+            // core count.
+            return Err("persist-path latency must be positive".into());
+        }
         self.l1.geometry().map_err(|e| format!("L1: {e}"))?;
         self.llc.geometry().map_err(|e| format!("LLC: {e}"))?;
         Ok(())
@@ -344,6 +349,8 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = SimConfig::asplos21(8);
         cfg.llc.ways = 0;
+        assert!(cfg.validate().is_err());
+        let cfg = SimConfig::asplos21(8).with_persist_path_latency(Duration::ZERO);
         assert!(cfg.validate().is_err());
     }
 

@@ -106,10 +106,14 @@ impl AbsThread {
     /// # Panics
     ///
     /// Panics if a FASE is already open (FASEs do not nest in the paper's
-    /// benchmarks).
+    /// benchmarks), or if the thread already holds 2^32 FASEs, the most a
+    /// [`FaseId`] numbers.
     pub fn begin_fase(&mut self) -> FaseId {
         assert!(self.open_fase.is_none(), "FASEs do not nest");
-        let id = FaseId(self.next_fase);
+        let id = FaseId(
+            u32::try_from(self.next_fase)
+                .unwrap_or_else(|_| panic!("FASE ids are u32: a thread holds at most 2^32 FASEs")),
+        );
         self.next_fase += 1;
         self.open_fase = Some(id);
         self.ops.push(AbsOp::FaseBegin { fase: id });
@@ -345,6 +349,16 @@ mod tests {
         assert_eq!(a, FaseId(0));
         assert_eq!(b, FaseId(1));
         assert_eq!(t.fase_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 FASEs")]
+    fn fase_ids_past_u32_panic() {
+        let mut t = AbsThread::new();
+        t.next_fase = u64::from(u32::MAX);
+        assert_eq!(t.begin_fase(), FaseId(u32::MAX));
+        t.end_fase();
+        t.begin_fase();
     }
 
     #[test]

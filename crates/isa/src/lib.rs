@@ -33,11 +33,11 @@ pub mod persist;
 pub mod program;
 
 pub use abs::{AbsOp, AbsProgram, AbsThread};
-pub use addr::{Addr, MemSpace, LINE_BYTES, PM_BASE, WORD_BYTES};
+pub use addr::{Addr, MemSpace, LINE_BYTES, PM_BASE, REGION_BYTES, WORD_BYTES};
 pub use lower::{
     lower_program, lower_program_with_meta, DesignKind, OpMeta, OpRole, PersistencyClass,
     ProgramMeta, ThreadMeta,
 };
-pub use op::{log_mix, FaseId, LockId, Op, ThreadId, ValueSrc};
+pub use op::{log_mix, FaseId, LockId, Op, ThreadId, ValueSrc, Word};
 pub use persist::{thread_persist_keys, thread_persist_order, OrderKey, ThreadPersistOrder};
 pub use program::{Program, ThreadProgram};

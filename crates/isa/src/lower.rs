@@ -201,32 +201,33 @@ pub struct ProgramMeta {
     pub threads: Vec<ThreadMeta>,
 }
 
-/// Lowers one thread's abstract ops for `design`.
+/// Lowers one thread's abstract ops for `design`, filling `meta` when
+/// given.
 ///
 /// On IntelX86/DPO, consecutive PM stores to one cache line share a single
 /// trailing `CLWB` (what a compiler or PM library emits); the pending CLWB
 /// is flushed before any op that leaves the line.
-fn lower_thread(design: DesignKind, abs_ops: &[AbsOp]) -> (ThreadProgram, ThreadMeta) {
+fn lower_thread(
+    design: DesignKind,
+    abs_ops: &[AbsOp],
+    mut meta: Option<&mut ThreadMeta>,
+) -> ThreadProgram {
     let wants_clwb = matches!(design, DesignKind::IntelX86 | DesignKind::Dpo);
     let mut ops = Vec::with_capacity(abs_ops.len() * 2);
-    let mut meta = ThreadMeta {
-        ops: Vec::with_capacity(abs_ops.len() * 2),
-        order_points: Vec::new(),
-    };
+    let with_meta = meta.is_some();
+    if let Some(m) = meta.as_deref_mut() {
+        m.ops.reserve(abs_ops.len() * 2);
+    }
     // The pending CLWB's address, plus the abstract index of the last
     // store it covers (its provenance in the metadata).
     let mut pending_clwb: Option<(crate::addr::Addr, u32)> = None;
-    let flush = |ops: &mut Vec<Op>,
-                 metas: &mut Vec<OpMeta>,
-                 pending: &mut Option<(crate::addr::Addr, u32)>| {
-        if let Some((addr, abs_index)) = pending.take() {
-            ops.push(Op::Clwb { addr });
-            metas.push(OpMeta {
-                role: OpRole::Flush,
-                abs_index,
-            });
+    let mut emit = |ops: &mut Vec<Op>, op: Op, role: OpRole, abs_index: u32| {
+        ops.push(op);
+        if let Some(m) = meta.as_deref_mut() {
+            m.ops.push(OpMeta { role, abs_index });
         }
     };
+    let mut order_points = Vec::new();
     for (ai, &a) in abs_ops.iter().enumerate() {
         let ai = ai as u32;
         // Any op other than a PM store to the same line closes the
@@ -234,15 +235,13 @@ fn lower_thread(design: DesignKind, abs_ops: &[AbsOp]) -> (ThreadProgram, Thread
         match a {
             AbsOp::LogWrite { addr, .. } | AbsOp::DataWrite { addr, .. }
                 if pending_clwb.is_some_and(|(p, _)| p.line() == addr.line()) => {}
-            _ => flush(&mut ops, &mut meta.ops, &mut pending_clwb),
+            _ => {
+                if let Some((addr, covered)) = pending_clwb.take() {
+                    emit(&mut ops, Op::Clwb { addr }, OpRole::Flush, covered);
+                }
+            }
         }
-        let mut emit = |op: Op, role: OpRole| {
-            ops.push(op);
-            meta.ops.push(OpMeta {
-                role,
-                abs_index: ai,
-            });
-        };
+        let mut emit = |op: Op, role: OpRole| emit(&mut ops, op, role, ai);
         match a {
             AbsOp::LogWrite { addr, value } | AbsOp::DataWrite { addr, value } => {
                 let role = if matches!(a, AbsOp::LogWrite { .. }) {
@@ -256,7 +255,9 @@ fn lower_thread(design: DesignKind, abs_ops: &[AbsOp]) -> (ThreadProgram, Thread
                 }
             }
             AbsOp::LogOrder | AbsOp::DataOrder => {
-                meta.order_points.push(ai);
+                if with_meta {
+                    order_points.push(ai);
+                }
                 match design {
                     DesignKind::IntelX86 | DesignKind::Dpo => emit(Op::Sfence, OpRole::Order),
                     DesignKind::Hops => emit(Op::Ofence, OpRole::Order),
@@ -305,9 +306,14 @@ fn lower_thread(design: DesignKind, abs_ops: &[AbsOp]) -> (ThreadProgram, Thread
             }
         }
     }
-    flush(&mut ops, &mut meta.ops, &mut pending_clwb);
-    debug_assert_eq!(ops.len(), meta.ops.len(), "metadata aligns with ops");
-    (ThreadProgram::new(ops), meta)
+    if let Some((addr, covered)) = pending_clwb {
+        emit(&mut ops, Op::Clwb { addr }, OpRole::Flush, covered);
+    }
+    if let Some(m) = meta {
+        debug_assert_eq!(ops.len(), m.ops.len(), "metadata aligns with ops");
+        m.order_points = order_points;
+    }
+    ThreadProgram::new(ops)
 }
 
 /// Lowers an abstract program for `design`.
@@ -333,7 +339,7 @@ fn lower_thread(design: DesignKind, abs_ops: &[AbsOp]) -> (ThreadProgram, Thread
 /// assert!(x86.len() > spec.len());
 /// ```
 pub fn lower_program(design: DesignKind, program: &AbsProgram) -> Program {
-    lower_program_with_meta(design, program).0
+    lower(design, program, None)
 }
 
 /// Lowers an abstract program for `design`, also returning per-op
@@ -345,13 +351,23 @@ pub fn lower_program(design: DesignKind, program: &AbsProgram) -> Program {
 /// thread's ordering points. The static analyzer keys its persist
 /// obligations on this.
 pub fn lower_program_with_meta(design: DesignKind, program: &AbsProgram) -> (Program, ProgramMeta) {
-    let mut meta = ProgramMeta::default();
+    let mut meta = ProgramMeta {
+        threads: vec![ThreadMeta::default(); program.thread_count()],
+    };
+    let lowered = lower(design, program, Some(&mut meta));
+    (lowered, meta)
+}
+
+/// The one lowering pass behind [`lower_program`] and
+/// [`lower_program_with_meta`]; `meta`, when given, has one entry per
+/// thread.
+fn lower(design: DesignKind, program: &AbsProgram, mut meta: Option<&mut ProgramMeta>) -> Program {
     let threads = program
         .threads()
-        .map(|ops| {
-            let (thread, tm) = lower_thread(design, ops);
-            meta.threads.push(tm);
-            thread
+        .enumerate()
+        .map(|(i, ops)| {
+            let tm = meta.as_deref_mut().map(|m| &mut m.threads[i]);
+            lower_thread(design, ops, tm)
         })
         .collect();
     let lowered = Program::new(design, threads);
@@ -360,7 +376,7 @@ pub fn lower_program_with_meta(design: DesignKind, program: &AbsProgram) -> (Pro
         "lowering produced an invalid program: {:?}",
         lowered.validate()
     );
-    (lowered, meta)
+    lowered
 }
 
 #[cfg(test)]

@@ -35,8 +35,9 @@ impl fmt::Display for LockId {
 /// Identifies one failure-atomic section (FASE) *instance* within a thread.
 ///
 /// Ids are unique per thread, not globally; `(ThreadId, FaseId)` is global.
+/// A thread holds at most `u32::MAX + 1` FASEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FaseId(pub u64);
+pub struct FaseId(pub u32);
 
 impl fmt::Display for FaseId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -55,6 +56,31 @@ pub fn log_mix(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// A 64-bit word held at 4-byte alignment, so that [`ValueSrc`] packs
+/// into 12 bytes and [`Op`] into 16. Read it by value with [`Word::get`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed(4))]
+pub struct Word(u64);
+
+impl Word {
+    /// Wraps a value.
+    pub const fn new(v: u64) -> Self {
+        Word(v)
+    }
+
+    /// The value.
+    #[inline]
+    pub const fn get(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Debug for Word {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.get(), f)
+    }
+}
+
 /// Where a store's value comes from.
 ///
 /// Undo logging must record the *pre-image* of the data it will overwrite;
@@ -66,24 +92,26 @@ pub fn log_mix(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueSrc {
     /// A value fixed at program-generation time.
-    Imm(u64),
+    Imm(Word),
     /// The value the given address holds at the moment the store executes
     /// (the undo-log pre-image).
     OldOf(Addr),
     /// The value at `addr` plus `delta` (wrapping) at execution time —
     /// a fetch-and-add, used for shared counters (queue head/tail, TPC-C
-    /// order ids) whose runtime value depends on lock interleaving.
+    /// order ids and stock decrements) whose runtime value depends on
+    /// lock interleaving.
     OldPlus {
         /// The counter address.
         addr: Addr,
-        /// The increment.
-        delta: u64,
+        /// The increment, sign-extended to 64 bits when added.
+        delta: i32,
     },
     /// A checksummed log-entry header covering `target`'s address and its
     /// value at execution time.
     LogTag {
-        /// Generation tag (sequence number, entry index, ...).
-        tag: u64,
+        /// Generation tag (sequence number, entry index, ...), widened to
+        /// 64 bits in the checksum.
+        tag: u32,
         /// The data word this log entry covers.
         target: Addr,
     },
@@ -92,7 +120,22 @@ pub enum ValueSrc {
 impl ValueSrc {
     /// Shorthand for an immediate.
     pub const fn imm(v: u64) -> Self {
-        ValueSrc::Imm(v)
+        ValueSrc::Imm(Word::new(v))
+    }
+
+    /// The value this source yields when `read` gives each address's
+    /// current value: the one definition every interpreter resolves
+    /// stores with.
+    #[inline]
+    pub fn resolve(self, read: impl Fn(Addr) -> u64) -> u64 {
+        match self {
+            ValueSrc::Imm(v) => v.get(),
+            ValueSrc::OldOf(a) => read(a),
+            ValueSrc::OldPlus { addr, delta } => read(addr).wrapping_add(delta as i64 as u64),
+            ValueSrc::LogTag { tag, target } => {
+                ValueSrc::log_tag_value(u64::from(tag), target, read(target))
+            }
+        }
     }
 
     /// The checksum a [`ValueSrc::LogTag`] store produces for a known
@@ -104,7 +147,7 @@ impl ValueSrc {
 
 impl From<u64> for ValueSrc {
     fn from(v: u64) -> Self {
-        ValueSrc::Imm(v)
+        ValueSrc::imm(v)
     }
 }
 
@@ -323,7 +366,33 @@ mod tests {
     #[test]
     fn value_src_from_u64() {
         let v: ValueSrc = 7u64.into();
-        assert_eq!(v, ValueSrc::Imm(7));
+        assert_eq!(v, ValueSrc::imm(7));
+        assert_eq!(format!("{v:?}"), "Imm(7)");
+    }
+
+    #[test]
+    fn compact_layout() {
+        assert_eq!(std::mem::size_of::<ValueSrc>(), 12);
+        assert_eq!(std::mem::size_of::<Op>(), 16);
+        assert_eq!(std::mem::size_of::<crate::abs::AbsOp>(), 20);
+        assert_eq!(std::mem::size_of::<Option<Op>>(), 16);
+    }
+
+    #[test]
+    fn negative_deltas_wrap_like_the_u64_add() {
+        let mem = |_: Addr| 5u64;
+        let dec = ValueSrc::OldPlus {
+            addr: Addr::pm(0),
+            delta: -1,
+        };
+        assert_eq!(dec.resolve(mem), 5u64.wrapping_add(u64::MAX));
+        let zero = |_: Addr| 0u64;
+        assert_eq!(dec.resolve(zero), u64::MAX);
+        let min = ValueSrc::OldPlus {
+            addr: Addr::pm(0),
+            delta: i32::MIN,
+        };
+        assert_eq!(min.resolve(zero), (i32::MIN as i64) as u64);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl Program {
                         if open_fase.is_some() {
                             return Err(err(Some(oi), "nested FASE".into()));
                         }
-                        if fase.0 != next_fase {
+                        if u64::from(fase.0) != next_fase {
                             return Err(err(
                                 Some(oi),
                                 format!("FASE ids must be dense: expected {next_fase}, got {fase}"),

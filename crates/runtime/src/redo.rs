@@ -141,13 +141,9 @@ impl RedoLog {
                     let target_raw = read(snapshot, base);
                     let value = read(snapshot, base.offset(8));
                     let hdr = read(snapshot, base.offset(16));
-                    if target_raw % 8 != 0 {
+                    let Some(target) = Addr::checked(target_raw).filter(|a| a.is_pm()) else {
                         continue;
-                    }
-                    let target = Addr::new(target_raw);
-                    if !target.is_pm() {
-                        continue;
-                    }
+                    };
                     let tag = hdr ^ ValueSrc::log_tag_value(0, target, value);
                     if tag & 0xFF != e as u64 || !self.layout.seq_matches_slot(tag >> 8, slot) {
                         if hdr != 0 {

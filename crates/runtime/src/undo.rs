@@ -76,9 +76,19 @@ impl UndoLog {
         &self.layout
     }
 
-    /// The header tag for entry `entry` of FASE `fase_no`.
-    fn tag(fase_no: u64, entry: usize) -> u64 {
-        (LogLayout::seq(fase_no) << 8) | entry as u64
+    /// The header tag for entry `entry` of FASE `fase_no`: the FASE's
+    /// sequence number above an 8-bit entry index, in the `u32` a
+    /// [`ValueSrc::LogTag`] holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics from FASE `2^24 - 1` on, whose tag needs more than 32 bits.
+    fn tag(fase_no: u64, entry: usize) -> u32 {
+        u32::try_from((LogLayout::seq(fase_no) << 8) | entry as u64).unwrap_or_else(|_| {
+            panic!(
+                "undo log tags are u32: FASE {fase_no} is past the 2^24 - 1 FASEs a thread can log"
+            )
+        })
     }
 
     /// Emits the log phase: one three-word entry per target, recording the
@@ -151,13 +161,9 @@ impl UndoLog {
                     let old = read(snapshot, base.offset(8));
                     let hdr = read(snapshot, base.offset(16));
                     // Validate: recompute the tag and check its shape.
-                    if target_raw % 8 != 0 {
+                    let Some(target) = Addr::checked(target_raw).filter(|a| a.is_pm()) else {
                         continue;
-                    }
-                    let target = Addr::new(target_raw);
-                    if !target.is_pm() {
-                        continue;
-                    }
+                    };
                     let tag = hdr ^ (ValueSrc::log_tag_value(0, target, old));
                     if tag & 0xFF != e as u64 {
                         if hdr != 0 {
@@ -208,6 +214,7 @@ impl UndoLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmemspec_isa::addr::{PM_BASE, REGION_BYTES};
 
     fn undo() -> UndoLog {
         UndoLog::new(LogLayout::new(0, 1, 4, 4))
@@ -237,7 +244,7 @@ mod tests {
             self.snap.insert(base.offset(8), old);
             self.snap.insert(
                 base.offset(16),
-                ValueSrc::log_tag_value(UndoLog::tag(fase_no, e), target, old),
+                ValueSrc::log_tag_value(u64::from(UndoLog::tag(fase_no, e)), target, old),
             );
         }
 
@@ -341,12 +348,85 @@ mod tests {
     }
 
     #[test]
+    fn target_words_no_address_holds_are_skipped() {
+        let u = undo();
+        for raw in [PM_BASE + REGION_BYTES, u64::MAX - 7, 3] {
+            let mut snap = HashMap::new();
+            let base = u.layout.entry_addr(0, 0, 0);
+            snap.insert(base, raw);
+            snap.insert(base.offset(16), 1 << 8);
+            let out = u.recover(&mut snap);
+            assert_eq!((out.rolled_back, out.torn_entries), (0, 0), "{raw:#x}");
+        }
+    }
+
+    #[test]
     fn empty_log_region_recovers_cleanly() {
         let u = undo();
         let mut snap = HashMap::new();
         let out = u.recover(&mut snap);
         assert_eq!(out.rolled_back, 0);
         assert_eq!(out.scanned_slots, 4);
+    }
+
+    /// Applies the first `stores` PM stores of `ops` to `snap`, as if the
+    /// machine crashed right after them.
+    fn replay(ops: &[pmemspec_isa::abs::AbsOp], snap: &mut HashMap<Addr, u64>, stores: usize) {
+        use pmemspec_isa::abs::AbsOp;
+        let writes = ops.iter().filter_map(|op| match *op {
+            AbsOp::LogWrite { addr, value } | AbsOp::DataWrite { addr, value } => {
+                Some((addr, value))
+            }
+            _ => None,
+        });
+        for (addr, value) in writes.take(stores) {
+            let v = value.resolve(|a| snap.get(&a).copied().unwrap_or(0));
+            snap.insert(addr, v);
+        }
+    }
+
+    #[test]
+    fn negative_delta_replays_and_rolls_back_like_the_wrapping_add() {
+        // A TPC-C stock decrement: log the word, then OldPlus { delta: -1 }.
+        let u = undo();
+        let mut t = AbsThread::new();
+        t.begin_fase();
+        u.emit_log(&mut t, 0, 0, &[data(0)]);
+        t.data_write(
+            data(0),
+            ValueSrc::OldPlus {
+                addr: data(0),
+                delta: -1,
+            },
+        );
+        u.emit_truncate(&mut t, 0, 0);
+        t.end_fase();
+        let ops = t.finish();
+        for start in [0u64, 1, 90] {
+            let mut snap: HashMap<Addr, u64> = HashMap::from([(data(0), start)]);
+            replay(&ops, &mut snap, 4); // the 3-word entry and the decrement
+            assert_eq!(snap[&data(0)], start.wrapping_add(u64::MAX), "{start}");
+            let out = u.recover(&mut snap);
+            assert_eq!((out.rolled_back, out.torn_entries), (1, 0), "{start}");
+            assert_eq!(snap[&data(0)], start, "pre-image restored");
+        }
+    }
+
+    #[test]
+    fn log_tags_fit_u32_up_to_the_last_fase_they_number() {
+        let last = (1u64 << 24) - 2;
+        assert_eq!(UndoLog::tag(last, 255), u32::MAX);
+        let mut t = AbsThread::new();
+        t.begin_fase();
+        undo().emit_log(&mut t, 0, last, &[data(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 2^24 - 1 FASEs a thread can log")]
+    fn a_log_tag_past_u32_panics_instead_of_truncating() {
+        let mut t = AbsThread::new();
+        t.begin_fase();
+        undo().emit_log(&mut t, 0, (1 << 24) - 1, &[data(0)]);
     }
 
     #[test]
@@ -366,29 +446,7 @@ mod tests {
         let mut snap: HashMap<Addr, u64> = HashMap::new();
         snap.insert(data(0), 1);
         snap.insert(data(8), 2);
-        let mut writes = 0;
-        for op in &ops {
-            use pmemspec_isa::abs::AbsOp;
-            if let AbsOp::LogWrite { addr, value } | AbsOp::DataWrite { addr, value } = *op {
-                writes += 1;
-                if writes == 9 {
-                    break; // crash before the truncation stamp
-                }
-                let v = match value {
-                    ValueSrc::Imm(x) => x,
-                    ValueSrc::OldOf(a) => snap.get(&a).copied().unwrap_or(0),
-                    ValueSrc::OldPlus { addr, delta } => {
-                        snap.get(&addr).copied().unwrap_or(0).wrapping_add(delta)
-                    }
-                    ValueSrc::LogTag { tag, target } => ValueSrc::log_tag_value(
-                        tag,
-                        target,
-                        snap.get(&target).copied().unwrap_or(0),
-                    ),
-                };
-                snap.insert(addr, v);
-            }
-        }
+        replay(&ops, &mut snap, 8);
         assert_eq!(snap[&data(0)], 100, "data written before crash");
         let out = u.recover(&mut snap);
         assert_eq!(out.rolled_back, 1);

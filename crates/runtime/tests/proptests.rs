@@ -58,18 +58,7 @@ fn crash_state(
     let mut volatile = initial.clone();
     let mut resolved = Vec::new();
     for &(epoch, addr, value) in writes {
-        let v = match value {
-            ValueSrc::Imm(x) => x,
-            ValueSrc::OldOf(a) => volatile.get(&a).copied().unwrap_or(0),
-            ValueSrc::OldPlus { addr, delta } => volatile
-                .get(&addr)
-                .copied()
-                .unwrap_or(0)
-                .wrapping_add(delta),
-            ValueSrc::LogTag { tag, target } => {
-                ValueSrc::log_tag_value(tag, target, volatile.get(&target).copied().unwrap_or(0))
-            }
-        };
+        let v = value.resolve(|a| volatile.get(&a).copied().unwrap_or(0));
         volatile.insert(addr, v);
         resolved.push((epoch, addr, v));
     }

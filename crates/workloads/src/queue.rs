@@ -211,7 +211,7 @@ mod tests {
         let link_writes = ops
             .iter()
             .filter(
-                |o| matches!(o, AbsOp::DataWrite { value: ValueSrc::Imm(v), .. } if *v > 1 << 40),
+                |o| matches!(o, AbsOp::DataWrite { value: ValueSrc::Imm(v), .. } if v.get() > 1 << 40),
             )
             .count();
         assert!(link_writes > 0, "pointer-valued writes must exist");

@@ -138,9 +138,9 @@ pub fn generate(params: &WorkloadParams) -> GeneratedWorkload {
                     stock,
                     ValueSrc::OldPlus {
                         addr: stock,
-                        delta: u64::MAX,
+                        delta: -1,
                     },
-                ); // -1
+                );
             }
             undo.emit_truncate(&mut t, tid as usize, fase_no);
             t.release(lock);

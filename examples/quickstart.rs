@@ -27,7 +27,7 @@ fn main() {
             account_a,
             ValueSrc::OldPlus {
                 addr: account_a,
-                delta: u64::MAX,
+                delta: -1,
             },
         );
         thread.data_write(

@@ -18,12 +18,13 @@
 # Wall time on a 2-core host: 72 s (fig10 55 s of it, every other
 # experiment under 7 s); 126 s with --serial (fig10 94 s). More cores
 # divide it further. Pass --serial to reproduce the single-threaded run
-# exactly. Peak RSS is about 1.0 GB pooled and 0.66 GB serial.
+# exactly. Peak RSS is about 0.5 GB pooled on 2 cores (0.81 GB with 4
+# workers) and 0.36 GB serial.
 #
 # `experiments` prints one `== name: N.NNNs, VmHWM N kB` line per
 # experiment (the peak RSS so far) so suite-cost regressions show up in
 # CI logs per step instead of hiding inside one opaque total; CI fails
-# when any of them exceeds 2,000,000 kB.
+# when any of them exceeds 1,000,000 kB.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --workspace
