@@ -61,6 +61,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bloom;
+mod frontier;
 mod machinery;
 pub mod persist_buffer;
 pub mod probe;

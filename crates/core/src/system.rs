@@ -34,6 +34,7 @@ use pmemspec_isa::{LockId, Op, Program, ValueSrc};
 use pmemspec_mem::hierarchy::{AccessKind, CacheHierarchy, ServedFrom};
 use pmemspec_mem::{Dram, MemoryImage, PmController};
 
+use crate::frontier::{self, Frontier};
 use crate::machinery::{self, Machinery, PmStore};
 use crate::probe::{BoundaryLog, PmcEvent, Probe, Step};
 use crate::profile::{Bucket, ProfileReport, Profiler};
@@ -679,30 +680,23 @@ impl System {
         );
     }
 
-    /// The runnable core with the earliest local time (the lowest index
-    /// on ties), plus the earliest local time among the *other*
-    /// runnable cores (`Cycle::MAX` when the winner is alone). The run
-    /// loop keeps stepping the winner while its time stays strictly
-    /// below that margin — the schedule cannot prefer anyone else until
-    /// then, so the rescan is skipped.
-    #[inline]
-    fn next_core(&self) -> Option<(usize, Cycle)> {
-        let mut best: Option<usize> = None;
-        let (mut best_time, mut others_min) = (Cycle::MAX, Cycle::MAX);
+    /// Full scan: refills `frontier` from every runnable core's clock
+    /// and pops the winner, the runnable core with the earliest local
+    /// time (the lowest index on ties). `None` once no core is runnable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on deadlock: no core runnable while some wait on a lock.
+    fn scan(&self, frontier: &mut Frontier) -> Option<usize> {
+        frontier.clear();
         let mut mask = self.runnable;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let t = self.cores[i].time;
-            if best.is_none() || t < best_time {
-                others_min = best_time;
-                best = Some(i);
-                best_time = t;
-            } else if t < others_min {
-                others_min = t;
-            }
+            frontier.insert(frontier::key(self.cores[i].time, i));
         }
-        if best.is_none() {
+        let winner = frontier.pop().map(frontier::index);
+        if winner.is_none() {
             let waiting = self
                 .cores
                 .iter()
@@ -713,7 +707,16 @@ impl System {
                 "deadlock: {waiting} cores waiting, none runnable"
             );
         }
-        best.map(|i| (i, others_min))
+        winner
+    }
+
+    /// The schedule's definition, for the run loop's debug check: the
+    /// runnable core with the earliest local time, the lowest index on
+    /// ties.
+    fn earliest_runnable(&self) -> Option<usize> {
+        (0..self.cores.len())
+            .filter(|&i| self.runnable & (1 << i) != 0)
+            .min_by_key(|&i| (self.cores[i].time, i))
     }
 
     /// Raises misspeculation-recovery flags on every core currently inside
@@ -1484,27 +1487,39 @@ impl System {
     /// report and the final memory image. This is the scheduling loop
     /// behind every run entry point.
     ///
-    /// Each step runs the runnable core with the earliest clock:
-    /// schedule → drain the PM controller → poll for an eager abort →
-    /// execute. The loop stays on the stepped core while it remains
-    /// *strictly* the earliest: re-scanning all cores per step is the
-    /// dominant loop overhead, and a core typically retires several
-    /// 1-cycle ops before a memory stall pushes it past its peers. It
-    /// bails to a full rescan the moment the decision could differ: a
-    /// tie (index order decides), or any change to the runnable set (a
-    /// step can wake a waiter whose clock is arbitrary). No step moves
-    /// another core's clock without waking it, so the schedule is
-    /// exactly that of a rescan per step. The run ends when every thread
-    /// is done or the next step would start past the probe's horizon;
-    /// either way the PM controller then drains up to the horizon.
+    /// Each step runs the runnable core with the earliest clock, the
+    /// lowest index on ties: schedule → drain the PM controller → poll
+    /// for an eager abort → execute. Reading every core's clock per step
+    /// would cost a 64-core run one `Core` read per runnable core, so a
+    /// full scan keeps the winner and the next runnable cores, up to
+    /// eight schedule keys (`time << 6 | index`) in all, sorted, plus a
+    /// bound at or below every key it dropped. After a step, the
+    /// stepped core runs again while its new key is below both the
+    /// frontier's head and that bound; else the head runs, when it is
+    /// below the bound, and the stepped core takes its place in the
+    /// frontier; else, or whenever the step changed the runnable set (a
+    /// woken waiter's clock is arbitrary), the loop scans again. No step
+    /// moves another core's clock without waking it, so held keys never
+    /// go stale and the schedule is exactly that of a scan per step;
+    /// debug builds check every pick against that scan. The run ends
+    /// when every thread is done or the next step would start past the
+    /// probe's horizon; either way the PM controller then drains up to
+    /// the horizon.
     ///
     /// # Panics
     ///
     /// Same as [`System::run`].
     pub fn run_with<P: Probe>(mut self, probe: &mut P) -> (RunReport, MemoryImage) {
         let horizon = probe.horizon();
-        'run: while let Some((idx, others_min)) = self.next_core() {
+        let mut frontier = Frontier::default();
+        'run: while let Some(mut idx) = self.scan(&mut frontier) {
             loop {
+                // Checked before the pause below moves the clock.
+                debug_assert_eq!(
+                    Some(idx),
+                    self.earliest_runnable(),
+                    "the frontier picked core {idx} out of schedule order"
+                );
                 if self.cores[idx].time < self.stall_until {
                     // Speculation-buffer overflow pauses every core
                     // (§5.3).
@@ -1543,8 +1558,12 @@ impl System {
                     self.cores[idx].status = CoreStatus::Done;
                     self.runnable &= !(1 << idx);
                 }
-                if self.runnable != runnable_before || self.cores[idx].time >= others_min {
+                if self.runnable != runnable_before {
                     break;
+                }
+                match frontier.next(frontier::key(self.cores[idx].time, idx)) {
+                    Some(next) => idx = next,
+                    None => break,
                 }
             }
         }

@@ -375,3 +375,72 @@ fn negative_deltas_decrement_like_the_wrapping_add() {
         assert_eq!(image.read_persistent(orders), 10, "{design}");
     }
 }
+
+/// Records which core started each instruction, and when.
+#[derive(Default)]
+struct PickLog(Vec<(u64, usize)>);
+
+impl pmem_spec::probe::Probe for PickLog {
+    fn step(&mut self, step: &pmem_spec::probe::Step) {
+        self.0.push((step.start.raw(), step.core));
+    }
+}
+
+/// 64 identical compute-only threads tie on every clock, so the schedule
+/// is decided by the index alone: at each time every core steps once,
+/// lowest index first. The run loop's frontier holds only a few cores, so
+/// this walks it through refills, head switches and bound checks at every
+/// tie.
+#[test]
+fn identical_threads_step_in_index_order_at_every_tie() {
+    const THREADS: usize = 64;
+    let mut p = AbsProgram::new();
+    for _ in 0..THREADS {
+        let mut t = AbsThread::new();
+        for c in [1, 3, 1, 7, 2] {
+            t.compute(c);
+        }
+        p.add_thread(t);
+    }
+    for design in DesignKind::ALL_EXTENDED {
+        let sys = System::new(SimConfig::asplos21(THREADS), lower_program(design, &p)).unwrap();
+        let mut log = PickLog::default();
+        sys.run_with(&mut log);
+        let picks = log.0;
+        let starts = |core: usize| -> Vec<u64> {
+            picks.iter().filter(|p| p.1 == core).map(|p| p.0).collect()
+        };
+        let first = starts(0);
+        assert!(first.len() >= 5, "{design}: {first:?}");
+        for core in 1..THREADS {
+            assert_eq!(starts(core), first, "{design}: core {core} diverged");
+        }
+        assert!(
+            picks.windows(2).all(|w| w[0] < w[1]),
+            "{design}: steps out of (time, index) order"
+        );
+    }
+}
+
+/// A lock cycle between the first and the last of 64 cores deadlocks once
+/// the other 62 threads have run to completion: the run loop's full scan
+/// then finds no runnable core while two wait.
+#[test]
+#[should_panic(expected = "deadlock")]
+fn lock_cycle_across_64_cores_panics_as_deadlock() {
+    const THREADS: usize = 64;
+    let mut p = AbsProgram::new();
+    for tid in 0..THREADS {
+        let mut t = AbsThread::new();
+        match tid {
+            0 => t.acquire(LockId(0)).compute(500).acquire(LockId(1)),
+            63 => t.acquire(LockId(1)).compute(500).acquire(LockId(0)),
+            _ => t.compute(100).compute(tid as u32),
+        };
+        if tid == 0 || tid == THREADS - 1 {
+            t.release(LockId(1)).release(LockId(0));
+        }
+        p.add_thread(t);
+    }
+    run(DesignKind::IntelX86, &p, THREADS);
+}

@@ -416,6 +416,8 @@ mod tests {
         assert!(c.is_dirty(line(0)));
     }
 
+    // The residency check is a `debug_assert!` (see `insert`'s doc).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "resident")]
     fn double_insert_panics() {

@@ -124,3 +124,38 @@ fn traces_are_deterministic_too() {
     }
     assert_eq!(jsons[0], jsons[1]);
 }
+
+/// The run loop picks most cores from a small sorted frontier instead of
+/// scanning every core's clock, and debug builds assert that each pick is
+/// the full scan's winner. These lock-heavy runs change the runnable set
+/// often (blocked and woken waiters force rescans) and, at 64 cores, keep
+/// far more runnable cores than the frontier holds, so every frontier
+/// path is checked against the scan on whole programs.
+#[test]
+fn frontier_picks_match_a_full_scan_on_lock_heavy_runs() {
+    use pmem_spec_repro::isa::AbsOp;
+    for (cores, fases) in [(2, 20), (8, 8), (64, 3)] {
+        for benchmark in [Benchmark::ArraySwaps, Benchmark::Tpcc] {
+            let params = WorkloadParams::small(cores).with_fases(fases).with_seed(11);
+            let g = benchmark.generate(&params);
+            let begun = g
+                .program
+                .threads()
+                .flat_map(|ops| ops.iter())
+                .filter(|op| matches!(op, AbsOp::FaseBegin { .. }))
+                .count() as u64;
+            for design in DesignKind::ALL_EXTENDED {
+                let sys = System::new(
+                    SimConfig::asplos21(cores),
+                    lower_program(design, &g.program),
+                )
+                .unwrap();
+                let (report, _) = sys.run_full();
+                assert_eq!(
+                    report.fases_committed, begun,
+                    "{design}/{benchmark} at {cores} cores"
+                );
+            }
+        }
+    }
+}
